@@ -9,16 +9,16 @@ sweep's grid fans out.
 import pytest
 
 from benchmarks.conftest import BENCH_CONFIG, PRINT_CONFIG, show
-from repro.eval.sweep import enumerate_candidates, enumerate_names, run_sweep
+from repro.eval import Session
+from repro.eval.sweep import enumerate_candidates, enumerate_names
 from repro.sim import run_workload
 from repro.workloads import workload_programs
 
 
 @pytest.fixture(scope="module")
 def sweep3(machine):
-    result, _grid = run_sweep(3, ["LLLL", "LLHH", "HHHH"],
-                              PRINT_CONFIG, machine)
-    return result
+    return Session(machine, config=PRINT_CONFIG).sweep(
+        3, ["LLLL", "LLHH", "HHHH"])
 
 
 def test_sweep3_regenerate(sweep3):

@@ -70,7 +70,6 @@ from repro.eval.store import (
     config_fingerprint,
     merge_runs,
     open_store,
-    run_fingerprint,
 )
 from repro.eval.sweep import (
     CandidateGroup,
@@ -79,7 +78,6 @@ from repro.eval.sweep import (
     candidate_table,
     enumerate_candidates,
     enumerate_names,
-    run_sweep,
     sweep_cells,
     sweep_experiment_id,
     sweep_threads,
@@ -135,9 +133,7 @@ __all__ = [
     "reset_failed",
     "run_cell",
     "run_cells",
-    "run_fingerprint",
     "run_search",
-    "run_sweep",
     "run_worker",
     "rung_configs",
     "rungs_from_spec",

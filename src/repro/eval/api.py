@@ -60,8 +60,15 @@ from repro.eval.experiments import (
     default_config,
 )
 from repro.eval.result import ExperimentResult
-from repro.eval.runner import GridResult
+from repro.eval.runner import Cell, GridResult, shard_cells
 from repro.eval.store import RunStore, config_fingerprint, open_store
+from repro.eval.sweep import (
+    SweepPlan,
+    assemble_shard,
+    assemble_sweep,
+    sweep_experiment_id,
+    sweep_threads,
+)
 
 __all__ = ["Session"]
 
@@ -115,15 +122,8 @@ def _machine_registry(machines) -> dict:
     else:
         registry = {m.name: m for m in machines}
     for tag in registry:
-        _check_tag("machine", tag)
+        Cell.check_tag("machine", tag, required=True)
     return registry
-
-
-def _check_tag(kind: str, tag: str) -> None:
-    if not tag or any(sep in tag for sep in ":@%"):
-        raise ValueError(f"bad {kind} tag {tag!r}: tags are non-empty "
-                         f"and must not contain ':', '@' or '%' "
-                         f"(cell-key delimiters)")
 
 
 class Session:
@@ -134,9 +134,8 @@ class Session:
         machines: optional extra named machines (``{tag: Machine}`` or an
             iterable keyed by ``Machine.name``) for multi-machine grids;
             select one per call with ``run(..., machine=tag)``.
-        config: the base :class:`~repro.sim.SimConfig`; defaults to
-            :func:`~repro.eval.experiments.default_config` at ``scale``
-            with ``engine``.
+        config: the base :class:`~repro.sim.SimConfig` (default:
+            :func:`~repro.eval.experiments.default_config`).
         configs: optional named config variants (``{tag: SimConfig}``),
             selected per call with ``run(..., config=tag)``.
         store: result store — a URL (``dir:PATH``, ``sqlite:PATH.db``,
@@ -145,7 +144,6 @@ class Session:
             session's fingerprint, so resuming with a different
             config/machine is rejected.
         jobs: worker processes for every simulation grid.
-        scale / engine: conveniences for the default ``config``.
 
     Results and cell values are cached per session: repeated runs and
     derived artifacts (fig11/fig12 over fig10) re-simulate nothing.
@@ -154,14 +152,13 @@ class Session:
     """
 
     def __init__(self, machine=None, *, machines=None, config=None,
-                 configs=None, store=None, jobs: int = 1,
-                 scale: float = 1.0, engine: str = "fast"):
+                 configs=None, store=None, jobs: int = 1):
         self.machine = machine or paper_machine()
         self.machines = _machine_registry(machines)
-        self.config = config or default_config(scale, engine=engine)
+        self.config = config or default_config()
         self.configs = dict(configs or {})
         for tag in self.configs:
-            _check_tag("config", tag)
+            Cell.check_tag("config", tag, required=True)
         self.jobs = jobs
         self._cells: dict[str, dict[str, float]] = {}
         self._results: dict[str, ExperimentResult] = {}
@@ -179,7 +176,12 @@ class Session:
         return open_store(store, self.fingerprint())
 
     def fingerprint(self) -> dict:
-        """The store fingerprint of this session's campaign identity."""
+        """The store fingerprint of this session's campaign identity.
+
+        The one definition: plain runs, matrix and search campaigns and
+        queue workers (:meth:`~repro.eval.queue.CampaignSpec.session`)
+        all stamp and check stores with it.
+        """
         fp = {"config": config_fingerprint(self.config),
               "machine": self.machine.describe()}
         if self.machines:
@@ -236,14 +238,19 @@ class Session:
             result = self._results[name]
         else:
             result = self._compute(defn, machine, config, kw)
-            if machine:
-                result = dataclasses.replace(
-                    result, experiment=f"{result.experiment}@{machine}")
-            if config:
-                result = dataclasses.replace(
-                    result, experiment=f"{result.experiment}%{config}")
             if cacheable:
                 self._results[name] = result
+        return self._publish(result, machine, config, save)
+
+    def _publish(self, result: ExperimentResult, machine: str, config: str,
+                 save: bool) -> ExperimentResult:
+        """Suffix a variant artifact's id with its ``@machine`` /
+        ``%config`` tags and persist it when ``save`` is set."""
+        suffix = (f"@{machine}" if machine else "") \
+            + (f"%{config}" if config else "")
+        if suffix:
+            result = dataclasses.replace(
+                result, experiment=result.experiment + suffix)
         if save:
             self._require_store().save_artifact(result)
         return result
@@ -283,34 +290,38 @@ class Session:
               config: str = "", shard=None, budget_transistors=None,
               budget_gate_delays=None, cost_params=None,
               save: bool = False) -> ExperimentResult:
-        """Run a design-space sweep campaign through this session.
+        """Sweep the ``threads``-port design space over Table 2 workloads.
 
-        Same verbs and binding as :meth:`run`; see
-        :func:`repro.eval.sweep.run_sweep` for the campaign semantics
-        (``shard``, budgets, frontier assembly, calibrated
-        ``cost_params``).
+        Builds the :class:`~repro.eval.sweep.SweepPlan` (default: all
+        nine workloads), runs its grid through :meth:`run_grid` and
+        joins it with :func:`~repro.eval.sweep.assemble_sweep`: design
+        plane and Pareto frontier in ``result.meta``, the Section 5.2
+        recommendation under ``budget_*`` limits, ``cost_params``
+        overriding the cost model (e.g. ``CostParams.fit()``).
+
+        ``shard=(index, count)`` simulates only that deterministic
+        1-based slice of the grid (:func:`~repro.eval.runner.
+        shard_cells`) and returns a partial cell report instead of a
+        frontier: merge the shard stores with
+        :func:`~repro.eval.store.merge_runs` and sweep again without
+        ``shard`` to assemble the frontier with zero new simulations.
         """
-        from repro.eval.sweep import run_sweep
-
-        result, grid = run_sweep(
-            threads, workloads, self.config_for(config),
-            self.machine_for(machine), jobs=self.jobs,
-            store=self._store_view, shard=shard,
-            machine_tag=machine, config_tag=config,
-            budget_transistors=budget_transistors,
-            budget_gate_delays=budget_gate_delays,
-            cost_params=cost_params)
-        self._grids[grid.experiment] = grid
-        self.last_grid = grid
-        if machine:
-            result = dataclasses.replace(
-                result, experiment=f"{result.experiment}@{machine}")
-        if config:
-            result = dataclasses.replace(
-                result, experiment=f"{result.experiment}%{config}")
-        if save:
-            self._require_store().save_artifact(result)
-        return result
+        mach = self.machine_for(machine)
+        self.config_for(config)  # unknown tags raise before simulating
+        plan = SweepPlan.build(threads, workloads)
+        cells = plan.cells(machine_tag=machine, config_tag=config)
+        if shard is None:
+            grid = self.run_grid(cells)
+            result = assemble_sweep(
+                plan, grid.values, mach, machine_tag=machine,
+                config_tag=config, budget_transistors=budget_transistors,
+                budget_gate_delays=budget_gate_delays,
+                cost_params=cost_params)
+        else:
+            grid = self.run_grid(shard_cells(cells, *shard))
+            result = assemble_shard(plan, shard, grid.values, len(cells))
+        self._grids[plan.experiment] = grid
+        return self._publish(result, machine, config, save)
 
     def search(self, threads: int = 4, workloads=None, *,
                machine: str = "", save: bool = False,
@@ -331,12 +342,7 @@ class Session:
 
         result, _report = run_search(self, threads, workloads,
                                      machine=machine, **kw)
-        if machine:
-            result = dataclasses.replace(
-                result, experiment=f"{result.experiment}@{machine}")
-        if save:
-            self._require_store().save_artifact(result)
-        return result
+        return self._publish(result, machine, "", save)
 
     def run_matrix(self, experiment: str = "sweep4", *, machines=None,
                    configs=None, save: bool = False, **kw):
@@ -366,7 +372,6 @@ class Session:
         stability, budget recommendations per geometry).
         """
         from repro.eval.scaling import MatrixResult
-        from repro.eval.sweep import sweep_experiment_id, sweep_threads
 
         threads = sweep_threads(experiment)
         if threads is None and experiment not in EXPERIMENT_DEFS:
@@ -433,12 +438,11 @@ class Session:
         to the store when one is attached).
         """
         cells = list(cells)
-        if not cells:
-            return GridResult(experiment="")
         groups: dict[tuple, list] = {}
         for c in cells:
             groups.setdefault((c.machine, c.config), []).append(c)
-        combined = GridResult(experiment=cells[0].experiment)
+        combined = GridResult(experiment=cells[0].experiment if cells
+                              else "")
         for (mtag, ctag), part in groups.items():
             grid = experiments.run_cells(
                 part, self.config_for(ctag), self.machine_for(mtag),

@@ -67,10 +67,10 @@ import os
 import sys
 import time
 
-from repro.arch import paper_machine, preset_machine
+from repro.arch import preset_machine
 from repro.cost import CostParams
 from repro.eval.api import Session
-from repro.eval.backends import parse_store_url
+from repro.eval.backends import QueueBackend, parse_store_url
 from repro.eval.evaluator import rung_configs, rungs_from_spec
 from repro.eval.experiments import (
     EXPERIMENT_DEFS,
@@ -84,12 +84,7 @@ from repro.eval.queue import (
     reset_failed,
     run_worker,
 )
-from repro.eval.store import (
-    StoreMismatchError,
-    merge_runs,
-    open_store,
-    run_fingerprint,
-)
+from repro.eval.store import StoreMismatchError, merge_runs
 from repro.eval.scaling import scaling_report
 from repro.eval.search import run_search
 from repro.eval.sweep import candidate_table, sweep_experiment_id, sweep_threads
@@ -160,15 +155,14 @@ def _resolve_store_url(args) -> str | None:
     return first
 
 
-def _open_store(args, config, machine):
+def _open_session(args, **kw) -> Session:
+    """The verb's Session, bound to the store --out/--resume/--store name.
+
+    The Session opens the store itself, so the store fingerprint records
+    every machine/config variant the verb registers (``kw``).
+    """
     try:
-        url = _resolve_store_url(args)  # may parse URLs for comparison
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
-    if not url:
-        return None
-    try:
-        return open_store(url, run_fingerprint(config, machine))
+        return Session(store=_resolve_store_url(args), jobs=args.jobs, **kw)
     except (StoreMismatchError, ValueError) as exc:
         # ValueError: malformed store URL (unknown scheme, empty path)
         raise _CliError(str(exc)) from None
@@ -226,11 +220,8 @@ def _cmd_run(argv) -> int:
 
     names = sorted(EXPERIMENT_DEFS) if args.experiment == "all" \
         else [args.experiment]
-    config = default_config(args.scale, engine=args.engine)
-    machine = paper_machine()
-    store = _open_store(args, config, machine)
-    session = Session(machine=machine, config=config, store=store,
-                      jobs=args.jobs)
+    session = _open_session(
+        args, config=default_config(args.scale, engine=args.engine))
 
     # the session caches fig10's result, so fig11/fig12 (and `-e all`)
     # reuse its simulations automatically.
@@ -252,8 +243,8 @@ def _cmd_run(argv) -> int:
                        f"{grid.reused} reused")
         print(status)
         print()
-        if store is not None:
-            path = store.save_artifact(result)
+        if session.store is not None:
+            path = session.store.save_artifact(result)
             print(f"  saved: {path}")
     return 1 if failures else 0
 
@@ -293,24 +284,21 @@ def _cmd_sweep(argv) -> int:
     args = ap.parse_args(argv)
 
     _check_threads(args.threads)
-    machine = paper_machine()
     if args.list:
-        print(candidate_table(args.threads, machine).render())
+        print(candidate_table(args.threads).render())
         return 0
 
     workloads = _parse_workloads(args.workloads)
     shard = _parse_shard(args.shard) if args.shard else None
-    config = default_config(args.scale, engine=args.engine)
-    store = _open_store(args, config, machine)
-    if shard is not None and store is None:
+    session = _open_session(
+        args, config=default_config(args.scale, engine=args.engine))
+    if shard is not None and session.store is None:
         raise _CliError(
             "--shard requires a run directory or store "
             "(--out/--resume/--store): a shard's cell values are its "
             "only output and exist to be merged later; without a store "
             "they would be discarded"
         )
-    session = Session(machine=machine, config=config, store=store,
-                      jobs=args.jobs)
 
     t0 = time.time()
     try:
@@ -320,15 +308,15 @@ def _cmd_sweep(argv) -> int:
             budget_gate_delays=args.budget_gate_delays,
             cost_params=CostParams.fit() if args.calibrated else None)
     except (KeyError, ValueError) as exc:
-        # e.g. unknown/duplicate --workloads, validated by run_sweep
+        # e.g. unknown/duplicate --workloads, validated by the plan
         raise _CliError(exc.args[0] if exc.args else str(exc)) from None
     grid = session.last_grid
     print(result.render())
     print(f"  [{time.time() - t0:.1f}s]  cells: {grid.executed} simulated, "
           f"{grid.reused} reused")
     print()
-    if store is not None and shard is None:
-        path = store.save_artifact(result)
+    if session.store is not None and shard is None:
+        path = session.store.save_artifact(result)
         print(f"  saved: {path}")
     return 0
 
@@ -396,21 +384,12 @@ def _cmd_search(argv) -> int:
         raise _CliError(f"bad --rungs: {exc}") from None
     workloads = _parse_workloads(args.workloads)
     base = default_config(args.scale, engine=args.engine)
-    try:
-        url = _resolve_store_url(args)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
-    # the store is opened by the Session (not _open_store) so its
-    # fingerprint records the rung-config registry of this search.
-    try:
-        session = Session(machine=paper_machine(), config=base,
-                          configs=rung_configs(base, rungs),
-                          store=url, jobs=args.jobs)
-    except (StoreMismatchError, ValueError) as exc:
-        raise _CliError(str(exc)) from None
+    session = _open_session(args, config=base,
+                            configs=rung_configs(base, rungs))
 
     queue_spec = None
-    if url is not None and parse_store_url(url)[0] == "queue":
+    if session.store is not None \
+            and isinstance(session.store.backend, QueueBackend):
         # fleet mode: the spec lets `repro-eval worker --follow`
         # processes rebuild every rung config and drain alongside us.
         queue_spec = CampaignSpec(
@@ -491,18 +470,9 @@ def _cmd_matrix(argv) -> int:
     except ValueError as exc:
         raise _CliError(str(exc)) from None
 
-    config = default_config(args.scale, engine=args.engine)
-    try:
-        url = _resolve_store_url(args)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
-    # the store is opened by the Session (not _open_store) so its
-    # fingerprint records the machine registry of this campaign.
-    try:
-        session = Session(machine=paper_machine(), machines=machines,
-                          config=config, store=url, jobs=args.jobs)
-    except (StoreMismatchError, ValueError) as exc:
-        raise _CliError(str(exc)) from None
+    session = _open_session(
+        args, machines=machines,
+        config=default_config(args.scale, engine=args.engine))
 
     is_sweep = sweep_threads(args.experiment) is not None
     kw = {}

@@ -19,10 +19,10 @@ The one sharp edge is integer truncation: ``SimConfig.scaled`` floors
 its fields, so ``base.scaled(a).scaled(b)`` is **not**
 ``base.scaled(a*b)``.  Every consumer of a rung must therefore derive
 its config as ``base.scaled(rung.scale)`` from the *same* base —
-:func:`rung_configs` builds the Session registry that way, the
-:class:`~repro.eval.queue.CampaignSpec` rebuilds worker configs the same
-way, and :class:`Evaluator` refuses a session whose registered configs
-disagree.
+:func:`rung_configs` builds the Session registry that way (queue
+workers included: :meth:`~repro.eval.queue.CampaignSpec.session` goes
+through it), and :class:`Evaluator` refuses a session whose registered
+configs disagree.
 
 :mod:`~repro.eval.search` drives this service; nothing in here knows
 about promotion rules or budgets beyond pricing.
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.eval.runner import Cell
 from repro.eval.store import config_fingerprint
 
 __all__ = [
@@ -73,10 +74,7 @@ class FidelityRung:
                 f"(scale 1.0) must use the empty tag and vice versa — "
                 f"the empty tag is what aliases search cells with "
                 f"exhaustive sweep cells")
-        if any(sep in self.tag for sep in ":@%"):
-            raise ValueError(f"bad rung tag {self.tag!r}: tags must not "
-                             f"contain ':', '@' or '%' "
-                             f"(cell-key delimiters)")
+        Cell.check_tag("rung", self.tag)
 
     @classmethod
     def for_scale(cls, scale: float) -> "FidelityRung":

@@ -397,8 +397,10 @@ _STATIC_RUNNERS = {
 }
 
 
-def experiment_cells(name: str) -> list[Cell] | None:
-    """The simulation grid of an experiment (None if it has none)."""
+def experiment_cells(name: str, machine_tag: str = "") -> list[Cell] | None:
+    """The simulation grid of an experiment (None if it has none);
+    ``machine_tag`` stamps the cells as :meth:`Session.run` would for
+    ``machine=tag`` (derived experiments yield their base's grid)."""
     defn = EXPERIMENT_DEFS.get(name)
     if defn is None:
         return None
@@ -406,4 +408,4 @@ def experiment_cells(name: str) -> list[Cell] | None:
         defn = EXPERIMENT_DEFS[defn.uses]
     if defn.build_cells is None:
         return None
-    return defn.build_cells(cell_factory(defn.name))
+    return defn.build_cells(cell_factory(defn.name, machine_tag))

@@ -30,10 +30,11 @@ writes — that is the migration path from ``dir:``/``sqlite:`` stores)
 queues like any other backend.
 
 The campaign's identity travels in the store: :func:`init_queue` stamps
-the usual config/machine fingerprint *and* a :class:`CampaignSpec`
-(experiment id, workloads, scale, engine, machine presets), so a worker
-needs nothing but the store URL to rebuild its execution context —
-workers are stateless and interchangeable.
+a :class:`CampaignSpec` (experiment id, workloads, scale, engine,
+machine presets, fidelity rungs) and the fingerprint of the
+:class:`~repro.eval.api.Session` it describes, so a worker needs nothing
+but the store URL to rebuild that Session — workers are stateless and
+interchangeable.
 
 CLI verbs: ``repro-eval queue-init`` / ``worker`` / ``queue-status`` /
 ``reset-failed`` (see docs/OPERATIONS.md for the operator's guide).
@@ -49,14 +50,16 @@ import uuid
 from dataclasses import dataclass, field
 
 from repro.arch import preset_machine
+from repro.eval.api import Session
 from repro.eval.backends import QueueBackend, open_backend
+from repro.eval.evaluator import FidelityRung, rung_configs
 from repro.eval.experiments import (
     EXPERIMENT_DEFS,
-    cell_factory,
     default_config,
+    experiment_cells,
 )
 from repro.eval.runner import Cell, run_cell_detailed, run_cells_batch
-from repro.eval.store import RunStore, config_fingerprint, run_fingerprint
+from repro.eval.store import RunStore
 from repro.eval.sweep import sweep_cells, sweep_threads
 
 __all__ = [
@@ -94,14 +97,16 @@ def _as_queue(store) -> QueueBackend:
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """Everything a stateless worker needs to execute campaign cells.
+    """Everything a stateless worker needs to rebuild a campaign.
 
     The spec is JSON-persisted into the queue store by
-    :func:`init_queue` and read back by every worker, so machines and
-    configs are named by *preset* (rebuilt via
-    :func:`~repro.arch.preset_machine` /
-    :func:`~repro.eval.experiments.default_config`) rather than
-    serialized objects.
+    :func:`init_queue` and read back by every worker, which rebuilds
+    the campaign's :class:`~repro.eval.api.Session` from it
+    (:meth:`session`) — so machines and configs are named by *preset*
+    rather than serialized objects.  A spec carries the scale, engine,
+    machine presets and fidelity rungs; every other
+    :class:`~repro.sim.SimConfig` field (``seed``, the cache flags, …)
+    is the :func:`~repro.eval.experiments.default_config` value.
 
     Attributes:
         experiment: an :data:`~repro.eval.experiments.EXPERIMENT_DEFS`
@@ -114,11 +119,8 @@ class CampaignSpec:
             enqueued once per tag and carry it as their identity tag,
             exactly as ``Session.run_matrix`` would produce them.
         configs: ``(tag, scale)`` fidelity rungs for guided-search
-            campaigns.  A cell whose config tag matches runs under
-            ``config().scaled(rung_scale)`` — derived from the base
-            exactly as :func:`~repro.eval.evaluator.rung_configs`
-            derives the Session registry, because ``SimConfig.scaled``
-            truncates and any other derivation would diverge.
+            campaigns, registered on the session exactly as
+            :func:`~repro.eval.evaluator.rung_configs` registers them.
         kind: ``"campaign"`` (the grid is enqueued up front by
             ``queue-init``) or ``"search"`` (the grid is *discovered*:
             a ``repro-eval search`` coordinator enqueues each rung's
@@ -154,45 +156,28 @@ class CampaignSpec:
         if self.kind == "search" and threads is None:
             raise ValueError("search campaigns need a sweep experiment "
                              "id like 'sweep8'")
-        seen = set()
-        for tag, scale in self.configs:
-            if not tag or any(sep in tag for sep in ":@%"):
-                raise ValueError(
-                    f"bad config tag {tag!r}: tags are non-empty and "
-                    f"must not contain ':', '@' or '%'")
-            if not 0 < scale <= 1.0:
-                raise ValueError(f"config {tag!r}: scale must be in "
-                                 f"(0, 1], got {scale}")
-            if tag in seen:
-                raise ValueError(f"duplicate config tag {tag!r}")
-            seen.add(tag)
-        for tag in ("", self.machine, *self.machines):
-            if tag:
-                preset_machine(tag)  # unknown presets raise here, early
+        self.session()  # unknown presets and bad rungs raise here, early
 
-    # -- execution context ------------------------------------------------
-    def config(self):
-        """The campaign's base :class:`~repro.sim.SimConfig`."""
-        return default_config(self.scale, engine=self.engine)
+    def session(self) -> Session:
+        """The store-less :class:`~repro.eval.api.Session` of this campaign.
 
-    def config_for(self, tag: str = ""):
-        """Resolve a cell's config tag ("" = the campaign base).
-
-        Named tags are the fidelity rungs of a search campaign; the
-        resolved config is ``config().scaled(rung_scale)``.
+        Default machine ``machine``, the ``machines`` presets as tagged
+        variants, base config ``default_config(scale, engine)`` and the
+        rungs as config variants — the session the CLI ``matrix`` /
+        ``search`` verbs build for the same arguments.  Its
+        :meth:`~repro.eval.api.Session.fingerprint` is the queue's store
+        fingerprint, and workers resolve every claimed cell's machine
+        and config tags through it.
         """
-        if not tag:
-            return self.config()
-        for name, scale in self.configs:
-            if name == tag:
-                return self.config().scaled(scale)
-        raise KeyError(
-            f"unknown config tag {tag!r}; this campaign defines "
-            f"{[name for name, _ in self.configs] or '(none)'}")
-
-    def machine_for(self, tag: str = ""):
-        """Resolve a cell's machine tag ("" = the campaign default)."""
-        return preset_machine(tag or self.machine)
+        tags = [tag for tag, _ in self.configs]
+        if len(set(tags)) != len(tags):
+            raise ValueError(f"duplicate config tags in {tags}")
+        base = default_config(self.scale, engine=self.engine)
+        rungs = [FidelityRung(tag, scale) for tag, scale in self.configs]
+        return Session(preset_machine(self.machine),
+                       machines={tag: preset_machine(tag)
+                                 for tag in self.machines},
+                       config=base, configs=rung_configs(base, rungs))
 
     def cells(self) -> list[Cell]:
         """The campaign grid, identical to the Session-built one.
@@ -204,40 +189,19 @@ class CampaignSpec:
         if self.kind == "search":
             return []
         threads = sweep_threads(self.experiment)
-        tags = self.machines or ("",)
         cells: list[Cell] = []
-        for tag in tags:
+        for tag in self.machines or ("",):
             if threads is not None:
                 cells += sweep_cells(threads, self.workloads,
                                      machine_tag=tag)
-            else:
-                defn = EXPERIMENT_DEFS[self.experiment]
-                if defn.uses:
-                    defn = EXPERIMENT_DEFS[defn.uses]
-                if defn.build_cells is None:
-                    raise ValueError(
-                        f"experiment {self.experiment!r} is static — it "
-                        f"has no simulation grid to queue")
-                cells += defn.build_cells(cell_factory(defn.name, tag))
+                continue
+            grid = experiment_cells(self.experiment, tag)
+            if grid is None:
+                raise ValueError(
+                    f"experiment {self.experiment!r} is static — it "
+                    f"has no simulation grid to queue")
+            cells += grid
         return cells
-
-    def fingerprint(self) -> dict:
-        """The store fingerprint a Session running this campaign uses.
-
-        Matching it exactly is what lets ``repro-eval sweep`` /
-        ``matrix`` / ``search`` ``--store queue:...`` resume a drained
-        queue.
-        """
-        fp = run_fingerprint(self.config(), self.machine_for())
-        if self.machines:
-            fp["machines"] = {tag: preset_machine(tag).describe()
-                              for tag in sorted(self.machines)}
-        if self.configs:
-            base = self.config()
-            fp["configs"] = {
-                tag: config_fingerprint(base.scaled(scale))
-                for tag, scale in sorted(self.configs)}
-        return fp
 
     # -- persistence ------------------------------------------------------
     def to_dict(self) -> dict:
@@ -273,7 +237,7 @@ def init_queue(store, spec: CampaignSpec) -> "QueueStatus":
     run in) start out done, so only the remaining work is open.
     """
     backend = _as_queue(store)
-    RunStore.open_or_create(backend, spec.fingerprint())
+    RunStore.open_or_create(backend, spec.session().fingerprint())
     existing = backend.load_campaign()
     if existing is not None and existing != spec.to_dict():
         raise ValueError(
@@ -365,25 +329,11 @@ def run_worker(store, *, worker_id: str | None = None,
             f"{backend.url!r} has no campaign spec; run "
             f"`repro-eval queue-init` first")
     spec = CampaignSpec.from_dict(spec_dict)
+    session = spec.session()
     if batch_cells is None:
         batch_cells = DEFAULT_BATCH_CELLS if spec.engine == "batch" else 1
     group_size = max(1, batch_cells)
-    machines: dict[str, object] = {}
-    configs: dict[str, object] = {}
     report = WorkerReport(worker_id or default_worker_id())
-
-    def machine_for(cell: Cell):
-        machine = machines.get(cell.machine)
-        if machine is None:
-            machine = machines[cell.machine] = \
-                spec.machine_for(cell.machine)
-        return machine
-
-    def config_for(cell: Cell):
-        config = configs.get(cell.config)
-        if config is None:
-            config = configs[cell.config] = spec.config_for(cell.config)
-        return config
 
     def search_done() -> bool:
         # scoped to *this* campaign's search experiment: a store that
@@ -424,8 +374,9 @@ def run_worker(store, *, worker_id: str | None = None,
     def run_one(claim: dict) -> None:
         cell = Cell(**claim["cell"])
         try:
-            value, meta = run_cell_detailed(cell, config_for(cell),
-                                            machine_for(cell))
+            value, meta = run_cell_detailed(
+                cell, session.config_for(cell.config),
+                session.machine_for(cell.machine))
         except Exception as exc:  # noqa: BLE001 - worker must survive
             settle_error(claim, exc)
         else:
@@ -477,11 +428,12 @@ def run_worker(store, *, worker_id: str | None = None,
                 by_tag.setdefault((cl["cell"].get("machine", ""),
                                    cl["cell"].get("config", "")),
                                   []).append(cl)
-            for tag, group in sorted(by_tag.items()):
+            for (mtag, ctag), group in sorted(by_tag.items()):
                 cells = [Cell(**cl["cell"]) for cl in group]
                 try:
-                    triples = run_cells_batch(cells, config_for(cells[0]),
-                                              machine_for(cells[0]))
+                    triples = run_cells_batch(cells,
+                                              session.config_for(ctag),
+                                              session.machine_for(mtag))
                 except Exception:  # noqa: BLE001 - isolate the poison cell
                     for cl in group:
                         run_one(cl)

@@ -35,7 +35,6 @@ values, bit-identical.
 from __future__ import annotations
 
 import difflib
-import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
@@ -96,12 +95,20 @@ class Cell:
             raise ValueError(f"unknown cell kind {self.kind!r}")
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown cell variant {self.variant!r}")
-        for tag in (self.machine, self.config):
-            if any(sep in tag for sep in ":@%"):
-                raise ValueError(
-                    f"cell tag {tag!r} must not contain ':', '@' or '%' "
-                    f"(they delimit cell keys, so two different tag "
-                    f"pairs could collide on one key)")
+        self.check_tag("machine", self.machine)
+        self.check_tag("config", self.config)
+
+    @staticmethod
+    def check_tag(kind: str, tag: str, *, required: bool = False) -> None:
+        """The one tag rule: no ``:``, ``@`` or ``%`` (and, for a named
+        registry entry, ``required``, not empty — ``""`` is the default)."""
+        if (required and not tag) or any(sep in tag for sep in ":@%"):
+            raise ValueError(
+                f"bad {kind} tag {tag!r}: tags "
+                + ("are non-empty and " if required else "")
+                + "must not contain the cell-key delimiters ':', '@' or "
+                "'%' (they delimit cell keys, so two different tag pairs "
+                "could collide on one key)")
 
     @property
     def key(self) -> str:
@@ -308,11 +315,7 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
     prev_cache_dir = get_default_cache().directory
     prev_loop_dir = get_loop_cache().directory
     if pending and store is not None and prev_cache_dir is None:
-        if hasattr(store, "programs_dir"):
-            programs = store.programs_dir()
-        else:  # duck-typed store without backend awareness
-            path = getattr(store, "path", None)
-            programs = os.path.join(path, "programs") if path else None
+        programs = store.programs_dir()
         if programs:
             set_cache_dir(programs)
             # the generated-loop disk cache (JitEngine) shares the same
@@ -326,7 +329,7 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
         result.executed += 1
         if store is not None:
             store.record_cell(experiment, key, value)
-            if meta is not None and hasattr(store, "record_cell_meta"):
+            if meta is not None:
                 store.record_cell_meta(experiment, key, meta)
 
     batched = config.engine == "batch" and len(pending) > 1

@@ -23,8 +23,8 @@ unit = one candidate over the whole workload set at full fidelity), as
 a fraction of the exhaustive sweep's cost.  A budget that affords the
 whole space (``budget=None`` or >= 1.0) short-circuits to the
 exhaustive evaluation — every candidate straight to full fidelity — so
-the search's frontier is *bit-identical* to ``run_sweep``'s (CI gates
-this).  A capped budget trims each promotion deterministically so the
+the search's frontier is *bit-identical* to ``Session.sweep``'s (CI
+gates this).  A capped budget trims each promotion deterministically so the
 remaining rungs stay affordable; every trim is reported, never silent.
 
 **Evolutionary mode** (``evolve=True``) replaces the all-candidates
@@ -60,6 +60,7 @@ from repro.eval.pareto import (
     pareto_frontier,
 )
 from repro.eval.scaling import rank_stability_from_ipc
+from repro.eval.store import fingerprint_diff
 from repro.eval.sweep import SweepPlan, assemble_sweep
 from repro.merge import parse_scheme, semantic_key
 
@@ -319,7 +320,7 @@ def run_search(session, n_threads: int = 4, workloads=None, *,
         session: the :class:`~repro.eval.api.Session` to evaluate
             through.  Its config registry must carry the reduced rungs
             (``configs=rung_configs(base, rungs)``).
-        n_threads / workloads: the plan, as in ``run_sweep``.
+        n_threads / workloads: the plan, as in ``Session.sweep``.
         machine: session machine tag to search on ("" = default).
         rungs: the fidelity ladder (ascending, ending at full).
         budget: fraction of the exhaustive full-fidelity cost this
@@ -332,7 +333,10 @@ def run_search(session, n_threads: int = 4, workloads=None, *,
         cost_params: :class:`~repro.cost.gates.CostParams` override.
         queue_spec: a ``kind="search"``
             :class:`~repro.eval.queue.CampaignSpec` to coordinate a
-            worker fleet through the session's ``queue:`` store.
+            worker fleet through the session's ``queue:`` store.  Its
+            :meth:`~repro.eval.queue.CampaignSpec.session` must have
+            this session's fingerprint (checked before anything is
+            written), since that is the session workers execute under.
         progress: optional callable for one-line round updates.
 
     Returns:
@@ -362,6 +366,17 @@ def run_search(session, n_threads: int = 4, workloads=None, *,
                 session.store.backend, QueueBackend):
             raise ValueError("queue_spec needs the session bound to a "
                              "queue:PATH.db store")
+        differ = fingerprint_diff(queue_spec.session().fingerprint(),
+                                  session.fingerprint())
+        if differ:
+            raise ValueError(
+                f"queue_spec does not describe this session's campaign "
+                f"(differs in: {', '.join(differ)}); a CampaignSpec "
+                f"carries only scale, engine, machine presets and rungs, "
+                f"and workers rebuild every other SimConfig field (seed, "
+                f"cache flags) at its default_config() value — build the "
+                f"session from default_config(scale, engine) and "
+                f"rung_configs(), or use queue_spec.session()")
         queue = session.store.backend
         init_queue(queue, queue_spec)
         session.store.update_manifest(experiment, search_status="running")

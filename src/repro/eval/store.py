@@ -44,9 +44,9 @@ __all__ = [
     "RunStore",
     "StoreMismatchError",
     "config_fingerprint",
+    "fingerprint_diff",
     "merge_runs",
     "open_store",
-    "run_fingerprint",
 ]
 
 
@@ -67,10 +67,18 @@ def config_fingerprint(config) -> dict:
     return json.loads(json.dumps(cfg, default=str))
 
 
-def run_fingerprint(config, machine) -> dict:
-    """JSON-able identity of one campaign's (config, machine) pair."""
-    return {"config": config_fingerprint(config),
-            "machine": machine.describe()}
+def fingerprint_diff(recorded: dict, wanted: dict,
+                     prefix: str = "") -> list[str]:
+    """Dotted paths of the entries two fingerprints disagree on
+    (``config.seed``, ``configs.f0.5.instr_limit``, ``machines``)."""
+    out = []
+    for key in sorted(recorded.keys() | wanted.keys()):
+        a, b = recorded.get(key), wanted.get(key)
+        if isinstance(a, dict) and isinstance(b, dict):
+            out += fingerprint_diff(a, b, f"{prefix}{key}.")
+        elif a != b:
+            out.append(f"{prefix}{key}")
+    return out
 
 
 def _is_backend(obj) -> bool:
@@ -136,8 +144,10 @@ class RunStore:
             elif recorded != fingerprint:
                 raise StoreMismatchError(
                     f"run store {store.url!r} was created with a "
-                    f"different config/machine; use a fresh --out/--store "
-                    f"location or matching --scale"
+                    f"different config/machine (differs in: "
+                    f"{', '.join(fingerprint_diff(recorded, fingerprint))}"
+                    f"); use a fresh --out/--store location or the "
+                    f"store's original settings"
                 )
         return store
 
@@ -239,7 +249,8 @@ def open_store(url, fingerprint: dict | None = None) -> RunStore:
     """Open (creating if necessary) a run store from a URL/path/backend.
 
     The friendly entry point for the URL form: ``open_store("results")``,
-    ``open_store("sqlite:campaign.db", run_fingerprint(cfg, machine))``.
+    ``open_store("sqlite:campaign.db", session.fingerprint())`` (a
+    :class:`~repro.eval.api.Session` given ``store=`` does exactly this).
     """
     return RunStore.open_or_create(url, fingerprint)
 

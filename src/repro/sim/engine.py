@@ -244,12 +244,9 @@ class FastEngine(Engine):
     #: fetch records materialized per stream refill.
     STREAM_BATCH = 512
 
-    def __init__(self, memo_limit: int | None = None,
-                 stream_batch: int | None = None):
+    def __init__(self, memo_limit: int | None = None):
         self.memo_limit = self.MEMO_LIMIT if memo_limit is None \
             else max(1, memo_limit)
-        self.stream_batch = self.STREAM_BATCH if stream_batch is None \
-            else max(1, stream_batch)
         self._memo: dict = {}
         #: MultiOp -> small signature id composing the memo key.  Two
         #: instructions with equal (mask, packed) share an id — the merge
@@ -308,7 +305,7 @@ class FastEngine(Engine):
         memo_misses = 0
         memo_drops = 0
         memo_limit = self.memo_limit
-        batch = self.stream_batch
+        batch = self.STREAM_BATCH
         caps_high = core.rules.caps_high
         high = core.rules.high
         pair_table = plan.pair_table
@@ -791,14 +788,10 @@ class JitEngine(Engine):
     MEMO_LIMIT = FastEngine.MEMO_LIMIT
     STREAM_BATCH = FastEngine.STREAM_BATCH
 
-    def __init__(self, memo_limit: int | None = None,
-                 stream_batch: int | None = None):
+    def __init__(self, memo_limit: int | None = None):
         self.memo_limit = self.MEMO_LIMIT if memo_limit is None \
             else max(1, memo_limit)
-        self.stream_batch = self.STREAM_BATCH if stream_batch is None \
-            else max(1, stream_batch)
-        self._fallback = FastEngine(memo_limit=memo_limit,
-                                    stream_batch=stream_batch)
+        self._fallback = FastEngine(memo_limit=memo_limit)
         self._entry = None
         self._entry_for = None
         #: programs whose MultiOp signatures this engine has interned
@@ -861,7 +854,7 @@ class JitEngine(Engine):
             entry = codegen.loop_entry(
                 core.scheme, plan, core.rules, i_desc, d_desc,
                 core.machine.taken_branch_penalty, core.rotate,
-                self.memo_limit, self.stream_batch,
+                self.memo_limit, self.STREAM_BATCH,
             )
             hits = cache.memory_hits - before[0]
             if hits + (cache.disk_hits - before[1]) \

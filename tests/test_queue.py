@@ -14,6 +14,7 @@ Backend *store* parity (round-trips, mixed-backend merge) is covered by
 ``tests/test_backends.py``, which parametrizes over the queue kind.
 """
 
+import dataclasses
 import threading
 import time
 
@@ -30,7 +31,10 @@ from repro.eval import (
     run_worker,
 )
 from repro.eval.backends import QueueBackend
+from repro.eval.cli import main
+from repro.eval.evaluator import rungs_from_spec
 from repro.eval.experiments import default_config, experiment_cells
+from repro.eval.runner import GridResult
 
 #: 2-thread sweep over one workload: a 2-cell grid, the cheapest real
 #: campaign (sub-second at scale 0.05).
@@ -39,6 +43,21 @@ SPEC = CampaignSpec(experiment="sweep2", scale=0.05, workloads=("LLLL",))
 
 def _url(tmp_path, name="camp.db") -> str:
     return f"queue:{tmp_path / name}"
+
+
+class _Built(Exception):
+    """Carries the Session a CLI verb built out of the verb."""
+
+
+def _cli_session(monkeypatch, argv) -> Session:
+    """The Session ``repro-eval ARGV`` builds, captured before it runs."""
+    def build(*args, **kw):
+        raise _Built(Session(*args, **kw))
+
+    monkeypatch.setattr("repro.eval.cli.Session", build)
+    with pytest.raises(_Built) as built:
+        main(argv)
+    return built.value.args[0]
 
 
 def _dummy_cells(n: int) -> dict[str, dict]:
@@ -153,9 +172,40 @@ class TestCampaignSpec:
                             machines=["2c4w", "4c4w"])
         assert CampaignSpec.from_dict(spec.to_dict()) == spec
 
-    def test_sweep_cells_match_the_session_grid(self):
-        from repro.eval.sweep import sweep_cells
-        assert SPEC.cells() == sweep_cells(2, ["LLLL"])
+    @pytest.mark.parametrize("argv, spec", [
+        (["matrix", "-e", "sweep2", "--machines", "2c4w,4c4w",
+          "--workloads", "LLLL", "--scale", "0.05"],
+         CampaignSpec(experiment="sweep2", scale=0.05, workloads=("LLLL",),
+                      machines=("2c4w", "4c4w"))),
+        (["search", "-t", "2", "--workloads", "LLLL", "--scale", "0.05",
+          "--rungs", "0.5,1"],
+         CampaignSpec(experiment="sweep2", scale=0.05, workloads=("LLLL",),
+                      kind="search", configs=(("f0.5", 0.5),))),
+    ], ids=["matrix", "search"])
+    def test_sweep_cells_match_the_session_grid(self, argv, spec,
+                                                 monkeypatch):
+        """One campaign context: the spec's session is the session the
+        CLI verb builds (same store fingerprint), and the spec's grid is
+        the grid that session runs."""
+        session = _cli_session(monkeypatch, argv)
+        assert spec.session().fingerprint() == session.fingerprint()
+        ran = []
+
+        def run_cells(cells, config, machine, jobs=1, store=None):
+            ran.extend(cells)
+            return GridResult(cells[0].experiment,
+                              {c.key: 1.0 for c in cells})
+
+        monkeypatch.setattr("repro.eval.experiments.run_cells", run_cells)
+        if spec.kind == "search":
+            # nothing is enqueued up front (cells arrive rung by rung);
+            # an unlimited search runs the campaign-kind twin's grid
+            assert spec.cells() == []
+            session.search(2, ["LLLL"], rungs=rungs_from_spec("0.5,1"))
+            spec = dataclasses.replace(spec, kind="campaign")
+        else:
+            session.run_matrix("sweep2", workloads=["LLLL"])
+        assert spec.cells() == ran
 
     def test_experiment_cells_match_the_grid_layer(self):
         spec = CampaignSpec(experiment="fig6", scale=0.05)
@@ -170,7 +220,8 @@ class TestCampaignSpec:
         tags = {cell.machine for cell in spec.cells()}
         assert tags == {"2c4w", "4c4w"}
         assert len(spec.cells()) == 2 * len(SPEC.cells())
-        assert set(spec.fingerprint()["machines"]) == {"2c4w", "4c4w"}
+        assert set(spec.session().fingerprint()["machines"]) == \
+            {"2c4w", "4c4w"}
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment"):
@@ -181,6 +232,13 @@ class TestCampaignSpec:
             CampaignSpec(experiment="sweep2", machines=("9z9z",))
         with pytest.raises(ValueError, match="static"):
             CampaignSpec(experiment="fig5").cells()
+        # rungs: the tag rule, scale range and uniqueness
+        for configs, match in (((("a:b", 0.5),), "delimiters"),
+                               ((("f2", 2.0),), "scale"),
+                               ((("f", 0.5), ("f", 0.25)), "duplicate")):
+            with pytest.raises(ValueError, match=match):
+                CampaignSpec(experiment="sweep2", kind="search",
+                             configs=configs)
 
 
 # ----------------------------------------------------------------------

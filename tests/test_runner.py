@@ -12,7 +12,6 @@ from repro.eval import (
     Session,
     StoreMismatchError,
     run_cells,
-    run_fingerprint,
 )
 from repro.eval.cli import main
 from repro.kernels import SUITE
@@ -25,6 +24,10 @@ TINY = SimConfig(instr_limit=800, timeslice=400, warmup_instrs=200)
 @pytest.fixture(scope="module")
 def machine():
     return paper_machine()
+
+
+def _fingerprint(config, machine) -> dict:
+    return Session(machine, config=config).fingerprint()
 
 
 class TestCell:
@@ -95,20 +98,24 @@ class TestResume:
 
     def test_fingerprint_mismatch_rejected(self, tmp_path, machine):
         path = tmp_path / "run"
-        RunStore.open_or_create(path, run_fingerprint(TINY, machine))
+        RunStore.open_or_create(path, _fingerprint(TINY, machine))
         other = SimConfig(instr_limit=999, timeslice=333, warmup_instrs=111)
-        with pytest.raises(StoreMismatchError):
-            RunStore.open_or_create(path, run_fingerprint(other, machine))
+        # the error names the differing keys instead of guessing a flag
+        with pytest.raises(StoreMismatchError,
+                           match=r"differs in: config\.instr_limit, "
+                                 r"config\.timeslice, "
+                                 r"config\.warmup_instrs\)"):
+            RunStore.open_or_create(path, _fingerprint(other, machine))
 
     def test_fingerprint_adopted_by_unstamped_directory(self, tmp_path,
                                                         machine):
         path = tmp_path / "run"
         RunStore.open_or_create(path)  # API use: no fingerprint recorded
-        stamped = RunStore.open_or_create(path, run_fingerprint(TINY, machine))
+        stamped = RunStore.open_or_create(path, _fingerprint(TINY, machine))
         assert stamped.manifest()["fingerprint"]
         other = SimConfig(instr_limit=999, timeslice=333, warmup_instrs=111)
         with pytest.raises(StoreMismatchError):
-            RunStore.open_or_create(path, run_fingerprint(other, machine))
+            RunStore.open_or_create(path, _fingerprint(other, machine))
 
     def test_manifest_records_true_executed_counts(self, tmp_path, machine):
         store = RunStore.open_or_create(tmp_path / "run")
@@ -122,7 +129,7 @@ class TestResume:
 class TestRunStore:
     def test_manifest_created(self, tmp_path, machine):
         store = RunStore.open_or_create(tmp_path / "r",
-                                        run_fingerprint(TINY, machine))
+                                        _fingerprint(TINY, machine))
         manifest = store.manifest()
         assert manifest["fingerprint"]["machine"] == machine.describe()
 

@@ -1,6 +1,8 @@
 """Guided-search tests: fidelity rungs, the evaluation service, the
 grammar mutator, and run_search end to end (tiny scales)."""
 
+import dataclasses
+
 import pytest
 
 from repro.eval import (
@@ -235,6 +237,28 @@ class TestQueueSearch:
                             kind="search", workloads=("LLLL",))
         with pytest.raises(ValueError, match="queue:"):
             run_search(session, 2, ["LLLL"], queue_spec=spec)
+
+    def test_spec_session_mismatch_rejected_before_any_write(
+            self, tmp_path):
+        """Regression: a session whose config is not exactly
+        ``default_config(spec.scale, spec.engine)`` (here: seed 2) used
+        to fail inside init_queue with a store error blaming --scale.
+        The coordinator now names the differing fields up front and
+        leaves the queue untouched."""
+        base = dataclasses.replace(default_config(0.04), seed=2)
+        rungs = rungs_from_spec("0.5,1")
+        url = f"queue:{tmp_path / 'q.db'}"
+        session = Session(config=base, configs=rung_configs(base, rungs),
+                          store=url)
+        spec = CampaignSpec(experiment=sweep_experiment_id(2), scale=0.04,
+                            kind="search", workloads=("LLLL",),
+                            configs=(("f0.5", 0.5),))
+        with pytest.raises(ValueError, match=r"differs in: config\.seed, "
+                                             r"configs\.f0\.5\.seed\)"):
+            run_search(session, 2, ["LLLL"], rungs=rungs, queue_spec=spec)
+        backend = session.store.backend
+        assert backend.load_campaign() is None
+        assert sum(backend.queue_counts().values()) == 0
 
     def test_coordinator_drains_inline_and_marks_done(self, tmp_path):
         """A search coordinator on a queue store is self-sufficient:

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from repro.arch import paper_machine
 from repro.eval import (
     RunStore,
+    Session,
     StoreMismatchError,
     enumerate_candidates,
     enumerate_names,
     merge_runs,
-    run_sweep,
     shard_cells,
     sweep_cells,
 )
@@ -307,46 +307,49 @@ class TestMergeRuns:
 class TestRunSweep:
     WORKLOADS = ["LLLL", "HHHH"]
 
+    @staticmethod
+    def sweep(threads, workloads, store=None, **kw):
+        """``Session.sweep`` on TINY/MACHINE; returns (result, grid)."""
+        session = Session(MACHINE, config=TINY, store=store)
+        return session.sweep(threads, workloads, **kw), session.last_grid
+
     def test_sharded_campaign_equals_single_machine(self, tmp_path):
         """The acceptance path: two shards into separate run dirs,
         merged, resumed — identical artifact, zero new simulations."""
-        full, grid = run_sweep(2, self.WORKLOADS, TINY, MACHINE)
+        full, grid = self.sweep(2, self.WORKLOADS)
         shards = []
         for i in (1, 2):
             store = RunStore.open_or_create(tmp_path / f"s{i}")
-            _r, g = run_sweep(2, self.WORKLOADS, TINY, MACHINE,
-                              store=store, shard=(i, 2))
+            _r, g = self.sweep(2, self.WORKLOADS, store=store, shard=(i, 2))
             shards.append((store, g))
         assert (shards[0][1].executed + shards[1][1].executed
                 == grid.executed)
         merged = merge_runs(tmp_path / "m",
                             [s.path for s, _g in shards])
-        resumed, rgrid = run_sweep(2, self.WORKLOADS, TINY, MACHINE,
-                                   store=merged)
+        resumed, rgrid = self.sweep(2, self.WORKLOADS, store=merged)
         assert rgrid.executed == 0
         assert rgrid.reused == grid.executed
         assert resumed.to_json() == full.to_json()
 
     def test_every_member_is_a_design_point(self):
-        result, _ = run_sweep(2, self.WORKLOADS, TINY, MACHINE)
+        result, _ = self.sweep(2, self.WORKLOADS)
         schemes = {row[0] for row in result.rows}
         assert schemes == set(enumerate_names(2))
 
     def test_group_members_share_ipc_but_not_cost(self):
-        result, _ = run_sweep(3, self.WORKLOADS, TINY, MACHINE)
+        result, _ = self.sweep(3, self.WORKLOADS)
         rows = {row[0]: row for row in result.rows}
         assert rows["2CC@3"][1] == rows["C3"][1]          # same IPC
         assert rows["2CC@3"][2] != rows["C3"][2]          # distinct cost
 
     def test_frontier_members_marked_and_non_dominated(self):
-        result, _ = run_sweep(2, self.WORKLOADS, TINY, MACHINE)
+        result, _ = self.sweep(2, self.WORKLOADS)
         frontier = {p["scheme"] for p in result.meta["frontier"]}
         marked = {row[0] for row in result.rows if row[4] == "*"}
         assert marked == frontier
 
     def test_budget_recommendation_within_budget(self):
-        result, _ = run_sweep(3, self.WORKLOADS, TINY, MACHINE,
-                              budget_transistors=5_000)
+        result, _ = self.sweep(3, self.WORKLOADS, budget_transistors=5_000)
         pick = result.meta["recommendation"]
         assert pick is not None
         assert pick["transistors"] <= 5_000
@@ -354,14 +357,13 @@ class TestRunSweep:
                    for p in result.meta["frontier"])
 
     def test_impossible_budget_reports_none(self):
-        result, _ = run_sweep(2, self.WORKLOADS, TINY, MACHINE,
-                              budget_transistors=1)
+        result, _ = self.sweep(2, self.WORKLOADS, budget_transistors=1)
         assert result.meta["recommendation"] is None
         assert any("no scheme qualifies" in n for n in result.notes)
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(KeyError, match="unknown workloads"):
-            run_sweep(2, ["NOPE"], TINY, MACHINE)
+            self.sweep(2, ["NOPE"])
 
     def test_default_workloads_are_all_nine(self):
         cells = sweep_cells(2)
