@@ -21,12 +21,10 @@ Backends are selected by URL::
 
 from __future__ import annotations
 
-import os
 import re
-import tempfile
 from typing import Protocol, runtime_checkable
 
-__all__ = ["StoreBackend", "atomic_write_text", "parse_store_url"]
+__all__ = ["StoreBackend", "parse_store_url"]
 
 #: registered URL schemes -> backend kind.
 SCHEMES = ("dir", "sqlite", "queue")
@@ -61,26 +59,6 @@ def parse_store_url(url: str) -> tuple[str, str]:
     if not path:
         raise ValueError(f"store URL {url!r} has an empty path")
     return scheme, path
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file + ``os.replace``.
-
-    A crash mid-write leaves the previous file contents (or no file)
-    rather than a truncated one.
-    """
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 @runtime_checkable

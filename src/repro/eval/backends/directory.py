@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 
-from repro.eval.backends.base import atomic_write_text
+from repro.artifacts import atomic_write
 
 __all__ = ["DirectoryBackend"]
 
@@ -44,7 +44,7 @@ class DirectoryBackend:
 
     def save_manifest(self, manifest: dict) -> None:
         self.ensure()
-        atomic_write_text(os.path.join(self.path, _MANIFEST),
+        atomic_write(os.path.join(self.path, _MANIFEST),
                           json.dumps(manifest, indent=2))
 
     # -- cells -----------------------------------------------------------
@@ -60,7 +60,7 @@ class DirectoryBackend:
 
     def save_cells(self, experiment: str, cells: dict[str, float]) -> None:
         self.ensure()
-        atomic_write_text(self._cells_path(experiment),
+        atomic_write(self._cells_path(experiment),
                           json.dumps(cells, indent=0, sort_keys=True))
 
     def experiments_with_cells(self) -> list[str]:
@@ -78,7 +78,7 @@ class DirectoryBackend:
         os.makedirs(os.path.join(self.path, "meta"), exist_ok=True)
         recorded = self.load_cell_meta(experiment)
         recorded[key] = meta
-        atomic_write_text(self._meta_path(experiment),
+        atomic_write(self._meta_path(experiment),
                           json.dumps(recorded, indent=0, sort_keys=True))
 
     def load_cell_meta(self, experiment: str) -> dict[str, dict]:
@@ -92,7 +92,7 @@ class DirectoryBackend:
     def save_artifact(self, experiment: str, text: str) -> str:
         self.ensure()
         path = os.path.join(self.path, f"{experiment}.json")
-        atomic_write_text(path, text)
+        atomic_write(path, text)
         return path
 
     def load_artifact(self, experiment: str) -> str | None:

@@ -12,7 +12,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from repro.eval.backends.base import atomic_write_text
+from repro.artifacts import atomic_write
 
 __all__ = ["ExperimentResult", "render_table"]
 
@@ -73,7 +73,7 @@ class ExperimentResult:
         crash mid-write never leaves a truncated artifact)."""
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, f"{self.experiment}.json")
-        atomic_write_text(path, self.to_json())
+        atomic_write(path, self.to_json())
         return path
 
     def row_map(self, key_col: int = 0) -> dict:

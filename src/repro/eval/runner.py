@@ -9,10 +9,11 @@ grid either inline or fanned out over a ``ProcessPoolExecutor``, with:
   completion order, and each simulation is fully seeded, so parallel
   output is bit-identical to serial output;
 * **compile reuse** — the parent process pre-compiles every distinct
-  program of the grid through the process-wide
-  :class:`~repro.kernels.cache.ProgramCache` before forking, and when a
-  :class:`~repro.eval.store.RunStore` is attached its
-  ``programs/`` directory is used as the process-safe disk cache, so a
+  program of the grid through the process-wide program cache
+  (:mod:`repro.kernels.cache`) before forking, and when a
+  :class:`~repro.eval.store.RunStore` is attached its ``programs/``
+  directory is the process-safe disk cache of compiled programs and
+  generated loops alike (:func:`repro.artifacts.set_cache_dir`), so a
   kernel is compiled once per machine/options fingerprint per host;
 * **resume** — completed cells recorded in the attached store are
   skipped, and new results are written through as they complete.
@@ -39,10 +40,9 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 from repro.arch import paper_machine
+from repro.artifacts import cache_dir, set_cache_dir
 from repro.kernels import by_name, compile_spec
-from repro.kernels.cache import get_default_cache, set_cache_dir
 from repro.sim import run_workload
-from repro.sim.codegen import get_loop_cache, set_loop_cache_dir
 from repro.workloads import workload_specs
 
 __all__ = ["Cell", "GridResult", "run_cell", "run_cell_detailed",
@@ -236,11 +236,9 @@ def run_cells_batch(cells, config, machine=None) -> list:
 _worker_state: dict = {}
 
 
-def _worker_init(config, machine, cache_dir, loop_cache_dir) -> None:
-    if cache_dir:
-        set_cache_dir(cache_dir)
-    if loop_cache_dir:
-        set_loop_cache_dir(loop_cache_dir)
+def _worker_init(config, machine, directory) -> None:
+    if directory:
+        set_cache_dir(directory)
     _worker_state["config"] = config
     _worker_state["machine"] = machine
 
@@ -312,17 +310,14 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
         else:
             pending.append(cell)
 
-    prev_cache_dir = get_default_cache().directory
-    prev_loop_dir = get_loop_cache().directory
+    # compiled programs and generated loops share the store's
+    # process-safe programs/ directory, so each compiles once per host,
+    # not once per worker process.
+    prev_cache_dir = cache_dir()
     if pending and store is not None and prev_cache_dir is None:
         programs = store.programs_dir()
         if programs:
             set_cache_dir(programs)
-            # the generated-loop disk cache (JitEngine) shares the same
-            # process-safe directory, so a scheme's cycle loop compiles
-            # once per host, not once per worker process.
-            if prev_loop_dir is None:
-                set_loop_cache_dir(programs)
 
     def record(key: str, value: float, meta: dict | None) -> None:
         result.values[key] = value
@@ -344,8 +339,7 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_worker_init,
-                initargs=(config, machine, get_default_cache().directory,
-                          get_loop_cache().directory),
+                initargs=(config, machine, cache_dir()),
             ) as pool:
                 futures = {pool.submit(_worker_run_batch, shard)
                            for shard in shards}
@@ -369,8 +363,7 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_worker_init,
-                initargs=(config, machine, get_default_cache().directory,
-                          get_loop_cache().directory),
+                initargs=(config, machine, cache_dir()),
             ) as pool:
                 futures = {pool.submit(_worker_run, cell) for cell in pending}
                 while futures:
@@ -381,7 +374,6 @@ def run_cells(cells, config, machine=None, jobs: int = 1, store=None
                         record(key, value, meta)
     finally:
         set_cache_dir(prev_cache_dir)
-        set_loop_cache_dir(prev_loop_dir)
 
     if store is not None:
         store.update_manifest(experiment, cells=len(cells),

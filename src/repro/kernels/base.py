@@ -43,10 +43,11 @@ class KernelSpec:
 def compile_spec(spec: KernelSpec, machine, options: CompilerOptions | None = None):
     """Compile a kernel spec (memoized per machine + options fingerprint).
 
-    Routes through the process-wide :class:`~repro.kernels.cache.ProgramCache`;
-    when a disk cache directory is configured (``REPRO_CACHE_DIR`` or
-    :func:`repro.kernels.cache.set_cache_dir`) compiled programs are also
-    shared across processes.
+    Routes through the process-wide program cache
+    (:func:`repro.kernels.cache.get_default_cache`).  When the shared
+    cache directory is set (``REPRO_CACHE_DIR`` or
+    :func:`repro.artifacts.set_cache_dir`), compiled programs are also
+    stored there as ``<key>.pkl`` and shared across processes.
     """
     from repro.kernels.cache import get_default_cache
 

@@ -1,23 +1,17 @@
-"""Process-safe compiled-program cache.
+"""Compiled-program cache.
 
 Compiling a kernel (unroll, cluster-assign, schedule, allocate) is the
 most expensive non-simulation step of every experiment, and the same
 twelve Table 1 programs are needed by table1, fig4, fig6 and fig10
-alike.  :class:`ProgramCache` memoizes compiled
-:class:`~repro.compiler.program.VLIWProgram` objects at two levels:
+alike.  The process-wide default cache (:func:`get_default_cache`) is
+an :class:`~repro.artifacts.ArtifactCache` that memoizes compiled
+:class:`~repro.compiler.program.VLIWProgram` objects in memory and,
+when the shared cache directory is set, as ``<key>.pkl`` pickles that
+every worker process of a host reuses.
 
-* an in-process dictionary (always on); and
-* an optional on-disk pickle store shared between processes — the
-  parallel grid runner points every worker at one directory so each
-  kernel is compiled once per machine/options fingerprint per host,
-  not once per worker.
-
-Disk entries are written atomically (temp file + ``os.replace``) so
-concurrent writers can never expose a partial pickle; concurrent
-writes of the same key are idempotent (last writer wins with equal
-content).  Cache keys fold in a digest of the compiler/IR/kernel
-sources, so editing the compiler invalidates stale entries instead of
-serving them.
+Cache keys fold in a digest of the compiler/IR/kernel sources, so
+editing the compiler invalidates stale entries instead of serving
+them.
 """
 
 from __future__ import annotations
@@ -25,15 +19,16 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
+from functools import partial
 
+from repro.artifacts import ArtifactCache, Codec, default_cache, set_cache_dir
 from repro.compiler.options import CompilerOptions
 from repro.compiler.pipeline import compile_kernel
 
 __all__ = [
-    "ProgramCache",
     "cache_key",
     "get_default_cache",
+    "program_cache",
     "set_cache_dir",
     "source_digest",
 ]
@@ -84,8 +79,9 @@ def options_fingerprint(options: CompilerOptions) -> str:
     )
 
 
-def cache_key(spec, machine, options: CompilerOptions) -> str:
+def cache_key(spec, machine, options: CompilerOptions | None = None) -> str:
     """Hex key identifying one (kernel, machine, options, code) build."""
+    options = options or CompilerOptions()
     text = "\n".join([
         source_digest(),
         f"kernel={spec.name}|class={spec.ilp_class}"
@@ -96,86 +92,24 @@ def cache_key(spec, machine, options: CompilerOptions) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-class ProgramCache:
-    """Two-level (memory + optional disk) compiled-program cache."""
+def _compile(spec, machine, options: CompilerOptions | None = None):
+    return compile_kernel(spec.build(), machine, options or CompilerOptions(),
+                          unroll_hints=dict(spec.unroll))
 
-    def __init__(self, directory: str | None = None):
-        self.directory = directory
-        self._memory: dict = {}
-        self.compiles = 0
-        self.memory_hits = 0
-        self.disk_hits = 0
 
-    def _disk_path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.pkl")
+#: programs are stored as pickles.
+PICKLE = Codec(".pkl", partial(pickle.dumps, protocol=pickle.HIGHEST_PROTOCOL),
+               pickle.loads)
 
-    def get(self, spec, machine, options: CompilerOptions | None = None):
-        """Compiled program for ``spec`` — compiled at most once per key."""
-        options = options or CompilerOptions()
-        key = cache_key(spec, machine, options)
-        prog = self._memory.get(key)
-        if prog is not None:
-            self.memory_hits += 1
-            return prog
-        if self.directory:
-            prog = self._disk_load(key)
-            if prog is not None:
-                self.disk_hits += 1
-                self._memory[key] = prog
-                return prog
-        prog = compile_kernel(spec.build(), machine, options,
-                              unroll_hints=dict(spec.unroll))
-        self.compiles += 1
-        self._memory[key] = prog
-        if self.directory:
-            self._disk_store(key, prog)
-        return prog
 
-    def _disk_load(self, key: str):
-        path = self._disk_path(key)
-        try:
-            with open(path, "rb") as f:
-                return pickle.load(f)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            return None
-
-    def _disk_store(self, key: str, prog) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump(prog, f, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, self._disk_path(key))
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def clear_memory(self) -> None:
-        self._memory.clear()
-
-    def stats(self) -> dict:
-        return {
-            "compiles": self.compiles,
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "directory": self.directory,
-        }
+def program_cache(directory: str | None = None) -> ArtifactCache:
+    """A compiled-program cache: ``get(spec, machine, options=None)``."""
+    return ArtifactCache(cache_key, _compile, PICKLE, directory)
 
 
 #: the process-wide cache every ``compile_spec`` call routes through.
-_default_cache = ProgramCache(os.environ.get("REPRO_CACHE_DIR") or None)
+_default_cache = default_cache(program_cache())
 
 
-def get_default_cache() -> ProgramCache:
-    return _default_cache
-
-
-def set_cache_dir(directory: str | None) -> ProgramCache:
-    """Point the default cache at a disk directory (None = memory only).
-
-    Existing in-memory entries are kept; returns the default cache.
-    """
-    _default_cache.directory = directory
+def get_default_cache() -> ArtifactCache:
     return _default_cache

@@ -4,8 +4,10 @@
 ``select_ports`` functions per scheme; this module extends that idea to
 the *entire* cycle loop: :func:`loop_source` emits one specialized
 Python function — fetch, merge, issue, idle skipping, solo bursts —
-for a concrete machine shape, and :class:`LoopCache` compiles it once
-and shares it across engines, worker processes and queue fleets.
+for a concrete machine shape, and the loop cache
+(:func:`get_loop_cache`, an :class:`~repro.artifacts.ArtifactCache`)
+compiles it once and shares it across engines, worker processes and
+queue fleets.
 
 Template structure (top to bottom of the generated function):
 
@@ -63,10 +65,10 @@ a compiled loop to one ``(SchemePlan, shape key, memo/batch knobs)``
 tuple, carrying that binding's private merge memo.
 
 Reading generated source for debugging: point
-:func:`set_loop_cache_dir` at a directory (the parallel runner does
-this automatically) and every generated loop is written there as
-``<key>.loop.py`` — plain Python, formatted like the template above,
-diffable between revisions.  ``loop_source(...)`` returns the same text
+:func:`repro.artifacts.set_cache_dir` at a directory (the grid runner
+does this with a run store's ``programs/``) and every generated loop is
+written there as ``<key>.loop.py`` — plain Python, formatted like the
+template above, diffable between revisions.  ``loop_source(...)`` returns the same text
 directly.
 """
 
@@ -74,22 +76,21 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
-import time
 
+from repro.artifacts import ArtifactCache, Codec, default_cache
 from repro.merge.scheme import OP_CSMT, OP_PORT
 from repro.sim.cache import Cache, PerfectCache
 
 __all__ = [
     "CODEGEN_VERSION",
-    "LoopCache",
     "LoopEntry",
+    "MAX_LOOP_PORTS",
     "cache_descriptor",
     "ensure_sigs",
     "get_loop_cache",
+    "loop_cache",
     "loop_entry",
     "loop_source",
-    "set_loop_cache_dir",
     "source_key",
 ]
 
@@ -783,147 +784,45 @@ def loop_source(n: int, perms, steps, caps_high: int, high: int,
 
 
 # ----------------------------------------------------------------------
-# compiled-loop cache (kernels/cache.py pattern: memory + atomic disk)
+# compiled-loop cache
 # ----------------------------------------------------------------------
-class LoopCache:
-    """Two-level (memory + optional disk) compiled-loop cache.
+#: widest port count the generated loop serves.  Source size grows about
+#: 4x per port (1 MB at 4 ports, 4.4 MB at 5, 260 MB at 8), so wider
+#: cores run on the fast engine instead (:class:`~repro.sim.engine.JitEngine`).
+MAX_LOOP_PORTS = 5
 
-    Disk entries are the generated *source* (``<key>.loop.py``) —
-    written atomically via temp file + ``os.replace`` so concurrent
-    workers never observe a partial file, and human-readable for
-    debugging.  The key folds in this module's source digest, so
-    editing the template invalidates stale loops instead of serving
-    them.
+#: in-memory cap on compiled loops: loops are specialized per scheme, so
+#: a sweep over the full 610-scheme registry would otherwise pin
+#: hundreds of compiled code objects.  Re-entry after an overflow
+#: recompiles from the stored source (milliseconds), not regenerating.
+LOOP_MEMORY_CAP = 64
 
-    The disk level is best-effort: a store that fails (read-only or
-    full filesystem) and a cached entry that no longer compiles
-    (truncated or hand-edited file) are both counted in
-    ``disk_errors``; a corrupt entry is additionally quarantined —
-    renamed to ``<key>.loop.py.bad`` for post-mortem — and the loop is
-    regenerated from source, so cache damage can slow a run but never
-    wedge or corrupt it.
-    """
 
-    def __init__(self, directory: str | None = None):
-        self.directory = directory
-        self._fns: dict = {}
-        self.memory_hits = 0
-        self.disk_hits = 0
-        self.compiles = 0
-        self.disk_errors = 0
-        self.compile_seconds = 0.0
+def _exec_loop(src: str):
+    namespace: dict = {}
+    exec(src, namespace)  # noqa: S102 - self-generated source
+    return namespace["_jit_loop"]
 
-    #: compiled-function cap: loops are specialized per scheme, so a
-    #: sweep over the full 610-scheme registry would otherwise pin
-    #: hundreds of compiled code objects.  On overflow the memory level
-    #: is dropped wholesale; re-entry recompiles from the disk source
-    #: (milliseconds) rather than regenerating.
-    _FN_CAP = 64
 
-    def _disk_path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.loop.py")
+#: loops are stored as their generated source (``<key>.loop.py``), which
+#: stays human-readable; an entry that no longer compiles to a
+#: ``_jit_loop`` counts as corrupt.
+SOURCE = Codec(".loop.py", str.encode,
+               lambda data: _exec_loop(data.decode("utf-8")), _exec_loop)
 
-    def get(self, n: int, perms, steps, caps_high: int, high: int,
-            i_desc, d_desc, br_penalty: int, rotate: bool):
-        """Compiled loop function for one shape — compiled at most once."""
-        key = source_key(n, perms, steps, caps_high, high, i_desc,
-                         d_desc, br_penalty, rotate)
-        fn = self._fns.get(key)
-        if fn is not None:
-            self.memory_hits += 1
-            return fn
-        t0 = time.perf_counter()
-        fn = None
-        if self.directory:
-            src = self._disk_load(key)
-            if src is not None:
-                fn = self._exec_loop(src)
-                if fn is None:  # truncated or hand-edited cache entry
-                    self._quarantine(key)
-                else:
-                    self.disk_hits += 1
-        if fn is None:
-            src = loop_source(n, perms, steps, caps_high, high, i_desc,
-                              d_desc, br_penalty, rotate)
-            self.compiles += 1
-            if self.directory:
-                self._disk_store(key, src)
-            namespace: dict = {}
-            exec(src, namespace)  # noqa: S102 - self-generated source
-            fn = namespace["_jit_loop"]
-        self.compile_seconds += time.perf_counter() - t0
-        if len(self._fns) >= self._FN_CAP:
-            self._fns.clear()
-        self._fns[key] = fn
-        return fn
 
-    def _disk_load(self, key: str) -> str | None:
-        try:
-            with open(self._disk_path(key), "r", encoding="utf-8") as f:
-                return f.read()
-        except OSError:
-            return None
-
-    @staticmethod
-    def _exec_loop(src: str):
-        """Compile cached loop source; None when the entry is corrupt."""
-        namespace: dict = {}
-        try:
-            exec(src, namespace)  # noqa: S102 - cache of generated source
-            return namespace["_jit_loop"]
-        except Exception:
-            return None
-
-    def _quarantine(self, key: str) -> None:
-        """Move a corrupt cached loop aside so the next process
-        regenerates instead of re-parsing the same broken file."""
-        self.disk_errors += 1
-        path = self._disk_path(key)
-        try:
-            os.replace(path, path + ".bad")
-        except OSError:
-            pass
-
-    def _disk_store(self, key: str, src: str) -> None:
-        try:
-            os.makedirs(self.directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        except OSError:
-            self.disk_errors += 1
-            return
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                f.write(src)
-            os.replace(tmp, self._disk_path(key))
-        except OSError:
-            self.disk_errors += 1
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def stats(self) -> dict:
-        return {
-            "compiles": self.compiles,
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "disk_errors": self.disk_errors,
-            "compile_seconds": round(self.compile_seconds, 6),
-            "directory": self.directory,
-        }
+def loop_cache(directory: str | None = None) -> ArtifactCache:
+    """A compiled-loop cache: ``get(*shape)`` with :func:`source_key`'s
+    arguments."""
+    return ArtifactCache(source_key, loop_source, SOURCE, directory,
+                         cap=LOOP_MEMORY_CAP)
 
 
 #: the process-wide cache every loop resolution routes through.
-_default_cache = LoopCache(os.environ.get("REPRO_CACHE_DIR") or None)
+_default_cache = default_cache(loop_cache())
 
 
-def get_loop_cache() -> LoopCache:
-    return _default_cache
-
-
-def set_loop_cache_dir(directory: str | None) -> LoopCache:
-    """Point the default loop cache at a directory (None = memory only)."""
-    _default_cache.directory = directory
+def get_loop_cache() -> ArtifactCache:
     return _default_cache
 
 

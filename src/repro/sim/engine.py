@@ -778,9 +778,11 @@ class JitEngine(Engine):
     merge memo.
 
     Cores the generated loop does not model — partially occupied
-    contexts or cache types other than :class:`Cache` /
-    :class:`PerfectCache` — delegate the whole timeslice to an internal
-    :class:`FastEngine`, preserving bit-identity by construction.
+    contexts, more than :data:`~repro.sim.codegen.MAX_LOOP_PORTS` ports
+    (the generated source grows about 4x per port) or cache types other
+    than :class:`Cache` / :class:`PerfectCache` — delegate the whole
+    timeslice to an internal :class:`FastEngine`, preserving
+    bit-identity by construction.
     """
 
     name = "jit"
@@ -825,10 +827,10 @@ class JitEngine(Engine):
     def run(self, core, max_cycles: int, instr_limit: int | None = None) -> str:
         from repro.sim import codegen
 
-        for ctx in core.contexts:
-            if ctx is None:
-                self.fallback_runs += 1
-                return self._fallback.run(core, max_cycles, instr_limit)
+        if core.scheme.n_ports > codegen.MAX_LOOP_PORTS or any(
+                ctx is None for ctx in core.contexts):
+            self.fallback_runs += 1
+            return self._fallback.run(core, max_cycles, instr_limit)
         i_desc = codegen.cache_descriptor(core.icache)
         d_desc = codegen.cache_descriptor(core.dcache)
         if i_desc is None or d_desc is None:

@@ -1,4 +1,5 @@
-"""Generated cycle-loop codegen: keys, caches, decision equivalence.
+"""Generated cycle-loop codegen: keys, the artifact cache, decision
+equivalence.
 
 The JIT engine's correctness rests on two contracts checked here at the
 codegen layer (the engine-level differential suite covers the rest):
@@ -13,21 +14,25 @@ codegen layer (the engine-level differential suite covers the rest):
 
 from __future__ import annotations
 
+import os
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import paper_machine
-from repro.kernels import by_name, compile_spec
+from repro.artifacts import cache_dir, set_cache_dir
+from repro.kernels import SUITE, by_name, compile_spec
+from repro.kernels.cache import get_default_cache, program_cache
 from repro.merge import get_scheme
 from repro.merge.packet import MergeRules
 from repro.sim import codegen
 from repro.sim.cache import Cache, CacheConfig, PerfectCache
 from repro.sim.codegen import (
-    LoopCache,
     _select_tree_lines,
     get_loop_cache,
+    loop_cache,
     loop_source,
-    set_loop_cache_dir,
     source_key,
 )
 
@@ -74,18 +79,31 @@ class TestSourceKey:
         assert "def _jit_loop" in src
 
 
-class TestLoopCache:
-    def test_memory_then_disk_hits(self, tmp_path):
-        args = _loop_args("3CCC")
-        cache = LoopCache(str(tmp_path))
-        fn = cache.get(*args)
+#: (cache factory, get() arguments) of both compiled-artifact caches.
+CACHE_KINDS = {
+    "program": (program_cache, lambda: (SUITE[0], MACHINE)),
+    "loop": (loop_cache, lambda: _loop_args("3CCC")),
+}
+
+
+@pytest.fixture(params=sorted(CACHE_KINDS))
+def kind(request):
+    factory, args = CACHE_KINDS[request.param]
+    return factory, args()
+
+
+class TestArtifactCache:
+    def test_memory_then_disk_hits(self, tmp_path, kind):
+        factory, args = kind
+        cache = factory(str(tmp_path))
+        value = cache.get(*args)
         assert (cache.compiles, cache.memory_hits, cache.disk_hits) \
             == (1, 0, 0)
-        assert cache.get(*args) is fn
+        assert cache.get(*args) is value
         assert cache.memory_hits == 1
         # a second cache over the same directory loads the stored
-        # source instead of regenerating (what pool workers share).
-        other = LoopCache(str(tmp_path))
+        # entry instead of rebuilding (what pool workers share).
+        other = factory(str(tmp_path))
         other.get(*args)
         assert (other.compiles, other.disk_hits) == (0, 1)
         assert cache.compile_seconds > 0
@@ -94,78 +112,75 @@ class TestLoopCache:
                                       "compile_seconds", "directory"}
 
     def test_memory_cap_drops_and_recompiles_from_disk(self, tmp_path):
-        cache = LoopCache(str(tmp_path))
-        cache._FN_CAP = 2
+        assert program_cache().cap is None  # programs stay uncapped
+        cache = loop_cache(str(tmp_path))
+        cache.cap = 2
         for name in ("3CCC", "3SSS", "2SC3"):
             cache.get(*_loop_args(name))
-        assert len(cache._fns) <= 2
+        assert len(cache._memory) <= 2
         cache.get(*_loop_args("3CCC"))  # evicted: reload from disk
         assert cache.disk_hits >= 1
 
-    def test_corrupt_disk_entry_is_quarantined_and_recompiled(self, tmp_path):
-        """A truncated/hand-edited cached loop must never wedge a run:
+    def test_corrupt_disk_entry_is_quarantined_and_recompiled(
+            self, tmp_path, kind):
+        """A truncated/hand-edited cached entry must never wedge a run:
         it is renamed to ``.bad`` for post-mortem, counted in
-        ``disk_errors``, and the loop regenerates from source."""
-        import os
+        ``disk_errors``, and the artifact is rebuilt."""
+        factory, args = kind
+        seed = factory(str(tmp_path))
+        value = seed.get(*args)
+        path = seed.path(seed.key(*args))
+        with open(path, "wb") as f:
+            f.write(b"def _jit_loop(:  # truncated mid-write\n")
 
-        args = _loop_args("3CCC")
-        seed = LoopCache(str(tmp_path))
-        fn = seed.get(*args)
-        path = seed._disk_path(source_key(*args))
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("def _jit_loop(:  # truncated mid-write\n")
-
-        cache = LoopCache(str(tmp_path))
-        recompiled = cache.get(*args)
-        assert recompiled is not fn and callable(recompiled)
+        cache = factory(str(tmp_path))
+        rebuilt = cache.get(*args)
+        assert rebuilt is not None and rebuilt is not value
         assert (cache.compiles, cache.disk_hits, cache.disk_errors) \
             == (1, 0, 1)
         assert os.path.exists(path + ".bad")  # moved aside for post-mortem
-        # the regenerated entry was re-stored and serves disk hits again
-        fresh = LoopCache(str(tmp_path))
+        # the rebuilt entry was re-stored and serves disk hits again
+        fresh = factory(str(tmp_path))
         fresh.get(*args)
         assert (fresh.compiles, fresh.disk_hits, fresh.disk_errors) \
             == (0, 1, 0)
 
     def test_valid_source_missing_entry_point_is_corrupt(self, tmp_path):
-        """Corruption detection is 'compiles AND defines _jit_loop',
-        not just a syntax check."""
+        """Loop corruption detection is 'compiles AND defines
+        _jit_loop', not just a syntax check."""
         args = _loop_args("3SSS")
-        seed = LoopCache(str(tmp_path))
+        seed = loop_cache(str(tmp_path))
         seed.get(*args)
-        path = seed._disk_path(source_key(*args))
-        with open(path, "w", encoding="utf-8") as f:
+        with open(seed.path(source_key(*args)), "w", encoding="utf-8") as f:
             f.write("x = 1  # syntactically fine, no _jit_loop\n")
-        cache = LoopCache(str(tmp_path))
+        cache = loop_cache(str(tmp_path))
         assert callable(cache.get(*args))
         assert cache.disk_errors == 1
 
-    def test_unwritable_directory_counts_store_errors(self, tmp_path):
-        """Disk stores are best-effort: a read-only cache directory
+    def test_unwritable_directory_counts_store_errors(self, tmp_path, kind):
+        """Disk stores are best-effort: a directory that cannot be
+        created (it sits under a regular file, which binds root too)
         degrades to memory-only operation, counted, never raising."""
-        import os
+        factory, args = kind
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        cache = factory(str(blocker / "cache"))
+        value = cache.get(*args)
+        assert value is not None
+        assert cache.disk_errors == 1
+        assert cache.stats()["disk_errors"] == 1
+        assert cache.get(*args) is value
 
-        ro = tmp_path / "ro"
-        ro.mkdir()
-        os.chmod(ro, 0o500)
+    def test_set_cache_dir_redirects_both_defaults(self, tmp_path):
+        prev = cache_dir()
         try:
-            cache = LoopCache(str(ro))
-            if os.access(ro, os.W_OK):  # running as root: chmod is moot
-                return
-            assert callable(cache.get(*_loop_args("2SC3")))
-            assert cache.disk_errors == 1
-            assert cache.stats()["disk_errors"] == 1
+            set_cache_dir(str(tmp_path))
+            assert get_default_cache().directory == str(tmp_path)
+            assert get_loop_cache().directory == str(tmp_path)
         finally:
-            os.chmod(ro, 0o700)
-
-    def test_set_loop_cache_dir_redirects_default(self, tmp_path):
-        prev = get_loop_cache().directory
-        try:
-            cache = set_loop_cache_dir(str(tmp_path))
-            assert cache is get_loop_cache()
-            assert cache.directory == str(tmp_path)
-        finally:
-            set_loop_cache_dir(prev)
+            set_cache_dir(prev)
+        assert get_default_cache().directory == prev
+        assert get_loop_cache().directory == prev
 
 
 # -- decision equivalence ---------------------------------------------------

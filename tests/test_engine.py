@@ -227,6 +227,36 @@ class TestJitEngine:
         assert build(ReferenceEngine()) == build(jit)
         assert jit.engine_stats().fallback_runs > 0
 
+    @pytest.mark.parametrize("scheme", ["4SSSS@5", "5SSSSS@6"])
+    def test_generated_loops_stop_at_max_loop_ports(self, scheme):
+        """Full cores wider than ``MAX_LOOP_PORTS`` run on the internal
+        fast engine (their generated source would grow ~4x per port);
+        up to the bound the generated loop runs."""
+        from repro.sim.codegen import MAX_LOOP_PORTS
+
+        scheme = get_scheme(scheme)
+        programs = (workload_programs("LLMH", MACHINE)
+                    + workload_programs("HHHH", MACHINE))[:scheme.n_ports]
+
+        def build(engine):
+            core = MTCore(MACHINE, scheme, Cache(CacheConfig()),
+                          Cache(CacheConfig()), engine=engine)
+            ts = [ThreadState(p, sw_id=i, seed=1 + 17 * i)
+                  for i, p in enumerate(programs)]
+            core.set_contexts(ts)
+            core.run(2_000, instr_limit=400)
+            return dataclasses.asdict(core.stats)
+
+        jit = JitEngine()
+        assert build(ReferenceEngine()) == build(jit)
+        stats = jit.engine_stats()
+        if scheme.n_ports > MAX_LOOP_PORTS:
+            assert stats.fallback_runs > 0
+            assert stats.codegen_compiles + stats.codegen_memory_hits \
+                + stats.codegen_disk_hits == 0
+        else:
+            assert stats.fallback_runs == 0
+
     def test_engine_stats_shape_on_all_engines(self):
         programs = workload_programs("LLLL", MACHINE)
         for name in ENGINES:

@@ -15,7 +15,7 @@ from repro.eval import (
 )
 from repro.eval.cli import main
 from repro.kernels import SUITE
-from repro.kernels.cache import ProgramCache, cache_key
+from repro.kernels.cache import cache_key, program_cache
 from repro.sim import SimConfig
 
 TINY = SimConfig(instr_limit=800, timeslice=400, warmup_instrs=200)
@@ -177,11 +177,11 @@ class TestProgramCache:
         monkeypatch.setattr(cache_mod, "compile_kernel",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         spec = SUITE[0]
-        warm = ProgramCache(str(tmp_path))
+        warm = program_cache(str(tmp_path))
         prog1 = warm.get(spec, machine)
         assert len(calls) == 1 and warm.compiles == 1
         # fresh cache, same directory: served from disk, no recompile
-        cold = ProgramCache(str(tmp_path))
+        cold = program_cache(str(tmp_path))
         prog2 = cold.get(spec, machine)
         assert len(calls) == 1 and cold.disk_hits == 1
         assert prog1.dump() == prog2.dump()
@@ -197,11 +197,13 @@ class TestProgramCache:
 
     def test_corrupt_disk_entry_falls_back(self, tmp_path, machine):
         spec = SUITE[0]
-        cache = ProgramCache(str(tmp_path))
+        cache = program_cache(str(tmp_path))
         key = cache_key(spec, machine, CompilerOptions())
         (tmp_path / f"{key}.pkl").write_bytes(b"not a pickle")
         prog = cache.get(spec, machine)
         assert prog is not None and cache.compiles == 1
+        assert cache.disk_errors == 1  # counted and moved aside
+        assert (tmp_path / f"{key}.pkl.bad").exists()
 
 
 class TestCli:
