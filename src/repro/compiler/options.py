@@ -1,8 +1,9 @@
 """Compiler configuration knobs.
 
-These exist both for normal use and for the ablation benchmarks in
-``benchmarks/`` (e.g. BUG vs round-robin cluster assignment, unrolling
-factor sweeps, speculation on/off).
+These exist both for normal use and for ablations (e.g. BUG vs
+round-robin cluster assignment, unrolling factor sweeps, speculation
+on/off); ``tests/test_paper_claims.py`` asserts the cluster-assignment
+and unrolling ones.
 """
 
 from __future__ import annotations

@@ -38,8 +38,8 @@ Three implementations ship:
   state hoisted into locals, merge signatures computed at fetch time,
   the memo probe and cache LRU bookkeeping baked into the source, and
   per-slot solo bursts.  Shapes the generated loop does not cover
-  (partially occupied cores, custom cache types) transparently fall
-  back to an internal :class:`FastEngine`.
+  (partially occupied cores, cores wider than five ports) transparently
+  fall back to an internal :class:`FastEngine`.
 
 Every engine reports an :class:`EngineStats` snapshot
 (:meth:`Engine.engine_stats`) — memo hits/misses/drops, codegen cache
@@ -122,6 +122,17 @@ class Engine:
     def engine_stats(self) -> EngineStats:
         """Acceleration counters accumulated so far (zeros by default)."""
         return EngineStats(engine=self.name)
+
+
+def _check_caches(core) -> None:
+    """The compiled engines inline :class:`Cache` / :class:`PerfectCache`
+    bookkeeping (the types ``make_cache`` builds); any other cache type
+    is rejected.  The reference engine accepts any ``access()``."""
+    for cache in (core.icache, core.dcache):
+        if type(cache) not in (Cache, PerfectCache):
+            raise TypeError(
+                f"unsupported cache type {type(cache).__name__}: the fast "
+                f"and jit engines simulate Cache and PerfectCache only")
 
 
 class ReferenceEngine(Engine):
@@ -311,24 +322,22 @@ class FastEngine(Engine):
         pair_table = plan.pair_table
         limit = (1 << 62) if instr_limit is None else instr_limit
 
-        # cache specialization: known types get the guaranteed-hit fast
-        # paths (and fully inlined LRU bookkeeping inside solo bursts);
-        # anything else goes through plain access() calls.
-        icache_access = icache.access
-        dcache_access = dcache.access
+        # cache specialization: a PerfectCache always hits; a Cache gets
+        # the guaranteed-hit fast path and fully inlined LRU bookkeeping.
+        _check_caches(core)
         i_perf = type(icache) is PerfectCache
         d_perf = type(dcache) is PerfectCache
-        i_shift = d_shift = None
+        i_shift = d_shift = 0
         i_sets = d_sets = ()
         i_set_mask = d_set_mask = -1
         i_nsets = d_nsets = i_assoc = d_assoc = 0
-        if type(icache) is Cache:
+        if not i_perf:
             i_shift = icache._line_shift
             i_sets = icache.sets
             i_set_mask = icache._set_mask
             i_nsets = len(i_sets)
             i_assoc = icache.cfg.assoc
-        if type(dcache) is Cache:
+        if not d_perf:
             d_shift = dcache._line_shift
             d_sets = dcache.sets
             d_set_mask = dcache._set_mask
@@ -394,7 +403,7 @@ class FastEngine(Engine):
                     addr = rec.mop.address
                     if i_perf:
                         icache.hits += 1
-                    elif i_shift is not None:
+                    else:
                         line = addr >> i_shift
                         if line == last_iline:
                             icache.hits += 1
@@ -415,9 +424,6 @@ class FastEngine(Engine):
                                 icache.misses += 1
                                 ctx.icache_misses += 1
                                 ctx.stall_until = cycle + i_penalty
-                    elif not icache_access(addr):
-                        ctx.icache_misses += 1
-                        ctx.stall_until = cycle + i_penalty
 
             # ---------------------------------------------------- merge
             pctx = perm_ctxs[rot]
@@ -497,7 +503,7 @@ class FastEngine(Engine):
                             addr = pending.mop.address
                             if i_perf:
                                 i_hits += 1
-                            elif i_shift is not None:
+                            else:
                                 line = addr >> i_shift
                                 if line == last_iline:
                                     i_hits += 1
@@ -519,10 +525,6 @@ class FastEngine(Engine):
                                         t_imiss += 1
                                         t_stall = cycle + i_penalty
                                         continue
-                            elif not icache_access(addr):
-                                t_imiss += 1
-                                t_stall = cycle + i_penalty
-                                continue
                         mop = pending.mop
                         t_instrs += 1
                         nops = mop.n_ops
@@ -533,7 +535,7 @@ class FastEngine(Engine):
                         if addrs:
                             if d_perf:
                                 d_hits += len(addrs)
-                            elif d_shift is not None:
+                            else:
                                 is_load = mop.mem_is_load
                                 for k, addr in enumerate(addrs):
                                     line = addr >> d_shift
@@ -554,13 +556,6 @@ class FastEngine(Engine):
                                         if len(ways) > d_assoc:
                                             ways.pop(0)
                                         d_misses += 1
-                                        t_dmiss += 1
-                                        if is_load[k]:
-                                            pen += d_penalty
-                            else:
-                                is_load = mop.mem_is_load
-                                for k, addr in enumerate(addrs):
-                                    if not dcache_access(addr):
                                         t_dmiss += 1
                                         if is_load[k]:
                                             pen += d_penalty
@@ -686,7 +681,7 @@ class FastEngine(Engine):
                 if addrs:
                     if d_perf:
                         dcache.hits += len(addrs)
-                    elif d_shift is not None:
+                    else:
                         is_load = mop.mem_is_load
                         for k, addr in enumerate(addrs):
                             line = addr >> d_shift
@@ -710,13 +705,6 @@ class FastEngine(Engine):
                                 ctx.dcache_misses += 1
                                 # store misses drain through the write
                                 # buffer and do not stall
-                                if is_load[k]:
-                                    pen += d_penalty
-                    else:
-                        is_load = mop.mem_is_load
-                        for k, addr in enumerate(addrs):
-                            if not dcache_access(addr):
-                                ctx.dcache_misses += 1
                                 if is_load[k]:
                                     pen += d_penalty
                 if rec.taken:
@@ -778,11 +766,12 @@ class JitEngine(Engine):
     merge memo.
 
     Cores the generated loop does not model — partially occupied
-    contexts, more than :data:`~repro.sim.codegen.MAX_LOOP_PORTS` ports
-    (the generated source grows about 4x per port) or cache types other
-    than :class:`Cache` / :class:`PerfectCache` — delegate the whole
-    timeslice to an internal :class:`FastEngine`, preserving
-    bit-identity by construction.
+    contexts or more than :data:`~repro.sim.codegen.MAX_LOOP_PORTS`
+    ports (the generated source grows about 4x per port) — delegate the
+    whole timeslice to an internal :class:`FastEngine`, preserving
+    bit-identity by construction.  Like the fast engine it raises
+    ``TypeError`` on cache types other than :class:`Cache` /
+    :class:`PerfectCache`.
     """
 
     name = "jit"
@@ -827,15 +816,13 @@ class JitEngine(Engine):
     def run(self, core, max_cycles: int, instr_limit: int | None = None) -> str:
         from repro.sim import codegen
 
+        _check_caches(core)
         if core.scheme.n_ports > codegen.MAX_LOOP_PORTS or any(
                 ctx is None for ctx in core.contexts):
             self.fallback_runs += 1
             return self._fallback.run(core, max_cycles, instr_limit)
         i_desc = codegen.cache_descriptor(core.icache)
         d_desc = codegen.cache_descriptor(core.dcache)
-        if i_desc is None or d_desc is None:
-            self.fallback_runs += 1
-            return self._fallback.run(core, max_cycles, instr_limit)
         if core.scheme.n_ports > 2:
             # the generated >=3-ready merge path reads MultiOp.sig.
             for ctx in core.contexts:

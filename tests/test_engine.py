@@ -204,9 +204,10 @@ class TestJitEngine:
         assert _run([prog], "3SSS", DIFF_CONFIG, "reference") == \
             _fingerprint(res)
 
-    def test_unsupported_cache_type_falls_back(self):
-        """A cache type the generator does not model forces fallback —
-        results still bit-identical via the internal fast engine."""
+    def test_unsupported_cache_type_raises(self):
+        """The compiled engines simulate only the cache types
+        ``make_cache`` builds; any other type is a TypeError naming it,
+        while the reference engine still runs it."""
 
         class OddCache(Cache):
             pass
@@ -221,11 +222,12 @@ class TestJitEngine:
                   for i, p in enumerate(programs)]
             core.set_contexts(ts)
             core.run(2_000, instr_limit=400)
-            return dataclasses.asdict(core.stats)
+            return core.stats
 
-        jit = JitEngine()
-        assert build(ReferenceEngine()) == build(jit)
-        assert jit.engine_stats().fallback_runs > 0
+        assert build(ReferenceEngine()).ops > 0
+        for engine in (FastEngine(), JitEngine()):
+            with pytest.raises(TypeError, match="OddCache"):
+                build(engine)
 
     @pytest.mark.parametrize("scheme", ["4SSSS@5", "5SSSSS@6"])
     def test_generated_loops_stop_at_max_loop_ports(self, scheme):
