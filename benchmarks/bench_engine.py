@@ -37,9 +37,10 @@ root::
     python benchmarks/bench_engine.py --engines jit --classes multithreaded
     python benchmarks/bench_engine.py --engines batch --classes campaign \\
         --scale 0.1 --check --floor batch:campaign:2.0
-    python benchmarks/bench_engine.py --scale 0.1 --check \\
-        --baseline BENCH_engine.json --tolerance 0.25 \\
-        --floor jit:multithreaded:2.0 --floor jit/fast:multithreaded:1.2
+    python benchmarks/bench_engine.py --scale 0.1 --repeats 25 \\
+        --benches mcf,djpeg --workloads LLMH --schemes 1S,2SC3 --check \\
+        --baseline BENCH_engine.json --tolerance 0.35 \\
+        --floor jit:multithreaded:3.0 --floor jit/fast:multithreaded:1.5
 
 ``--check`` exits non-zero when any measured engine's overall geomean
 drops below ``--threshold``; ``--baseline`` additionally compares the
@@ -61,9 +62,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import platform
+import statistics
 import sys
 import time
 
@@ -96,6 +99,10 @@ DEFAULT_SCHEMES = ("1S", "3CCC", "2SC3", "3SSS")
 
 CLASSES = ("single-thread", "multithreaded", "campaign")
 
+#: shortest timed sample, in seconds: a cell of a few milliseconds is
+#: repeated within its sample until the sample lasts this long.
+MIN_SAMPLE_S = 0.1
+
 
 def default_cells(benches=DEFAULT_BENCHES, workloads=DEFAULT_WORKLOADS,
                   schemes=DEFAULT_SCHEMES, classes=CLASSES) -> list[dict]:
@@ -112,40 +119,65 @@ def _programs(cell, machine):
     return workload_programs(cell["workload"], machine)
 
 
+def _timed(run, number: int) -> float:
+    """Wall seconds per run of ``number`` back-to-back runs."""
+    t0 = time.perf_counter()
+    for _ in range(number):
+        run()
+    return (time.perf_counter() - t0) / number
+
+
+def _runs_per_sample(run) -> int:
+    """Runs per timed sample, grown 1, 2, 5, 10, 20, ... until one
+    batch lasts ``MIN_SAMPLE_S`` (``timeit.Timer.autorange``'s rule)."""
+    for number in (k * 10 ** e for e in range(9) for k in (1, 2, 5)):
+        if _timed(run, number) * number >= MIN_SAMPLE_S:
+            return number
+    return number
+
+
 def measure_cell(cell: dict, config, machine, engines=ENGINES,
                  repeats: int = 3) -> dict:
     """Time the reference and every ``engines`` entry on one cell.
 
-    Best-of-``repeats`` wall seconds per engine.  ``cycles`` is
-    ``SimStats.cycles`` (the statistics window all engines account
-    identically; warmup cycles are excluded from the numerator for all
-    alike, so the speedups are unaffected).
+    Each engine first runs the cell once untimed (compiling its loop,
+    warming the caches), then sizes its samples so that each lasts at
+    least ``MIN_SAMPLE_S``.  The ``repeats`` samples alternate the
+    engines, so every engine's sample sits next to a reference sample
+    taken in the same host phase; an engine's speedup is the median of
+    those per-repeat paired ratios, and its ``seconds`` the median of
+    its own samples.  ``cycles`` is ``SimStats.cycles`` (the statistics
+    window all engines account identically; warmup cycles are excluded
+    from the numerator for all alike, so the speedups are unaffected).
     """
     repeats = max(1, repeats)
     programs = _programs(cell, machine)  # compiled once, cached
-    out = dict(cell)
-    out["speedups"] = {}
-    cycles = {}
-    for engine in ("reference",) + tuple(engines):
-        cfg = dataclasses.replace(config, engine=engine)
-        best = math.inf
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            result = run_workload(programs, cell["scheme"], cfg)
-            best = min(best, time.perf_counter() - t0)
-        cycles[engine] = result.stats.cycles
-        out[engine] = {
-            "cycles": result.stats.cycles,
-            "seconds": round(best, 6),
-            "cycles_per_sec": round(result.stats.cycles / best, 1),
-        }
+    order = ("reference",) + tuple(engines)
+    runs = {e: functools.partial(run_workload, programs, cell["scheme"],
+                                 dataclasses.replace(config, engine=e))
+            for e in order}
+    cycles = {e: runs[e]().stats.cycles for e in order}  # untimed warm-up
     if len(set(cycles.values())) != 1:  # defense in depth
         raise AssertionError(
             f"engines disagree on {cell}: {cycles} simulated cycles")
+    number = {e: _runs_per_sample(runs[e]) for e in order}
+    samples = {e: [] for e in order}
+    for _ in range(repeats):
+        for engine in order:
+            samples[engine].append(_timed(runs[engine], number[engine]))
+    out = dict(cell)
+    out["speedups"] = {}
+    for engine in order:
+        seconds = statistics.median(samples[engine])
+        out[engine] = {
+            "cycles": cycles[engine],
+            "seconds": round(seconds, 6),
+            "cycles_per_sec": round(cycles[engine] / seconds, 1),
+        }
     for engine in engines:
-        out["speedups"][engine] = round(
-            out[engine]["cycles_per_sec"]
-            / out["reference"]["cycles_per_sec"], 3)
+        out["speedups"][engine] = round(statistics.median(
+            ref / own for ref, own in zip(samples["reference"],
+                                          samples[engine])), 3)
     return out
 
 
@@ -465,7 +497,8 @@ def main(argv=None) -> int:
     ap.add_argument("--schemes", default=",".join(DEFAULT_SCHEMES),
                     help="comma list of schemes for the workload cells")
     ap.add_argument("--repeats", type=int, default=3,
-                    help="timing repeats per cell (best is kept)")
+                    help="timed samples per engine and cell, engines "
+                         "alternating; the median paired ratio is kept")
     ap.add_argument("--campaign-machines", type=int,
                     default=len(CAMPAIGN_MACHINES),
                     help="machine shapes in the campaign sweep (batch "

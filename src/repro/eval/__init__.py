@@ -49,7 +49,6 @@ from repro.eval.pareto import (
 from repro.eval.result import ExperimentResult, render_table
 from repro.eval.search import (
     SearchReport,
-    mutate_names,
     run_search,
     search_experiment_id,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "init_queue",
     "machine_axes",
     "merge_runs",
-    "mutate_names",
     "open_backend",
     "open_store",
     "parse_store_url",

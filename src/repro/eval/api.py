@@ -333,7 +333,7 @@ class Session:
         ``configs=rung_configs(base, rungs)``
         (:func:`~repro.eval.evaluator.rung_configs`) so the rung tags
         are part of the store fingerprint.  Keyword arguments
-        (``budget``, ``rungs``, ``eps``, ``drift``, ``evolve``, …) are
+        (``budget``, ``rungs``, ``eps``, ``drift``, …) are
         forwarded to :func:`repro.eval.search.run_search`; the returned
         artifact carries the full :class:`~repro.eval.search.
         SearchReport` in ``meta["search"]``.

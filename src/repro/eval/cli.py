@@ -23,7 +23,6 @@ Artifact and campaign subcommands::
                                                  #   cost, frontier out
     repro-eval search -t 8 --budget 0.3 --store sqlite:s8.db  # again:
                                                  #   resumes, 0 new sims
-    repro-eval search -t 6 --evolve --seed 1     # evolutionary discovery
 
     repro-eval matrix -e sweep4 --machines 2c4w,4c4w,8c4w \\
                --store sqlite:scaling.db         # scaling campaign
@@ -353,17 +352,6 @@ def _cmd_search(argv) -> int:
     ap.add_argument("--drift", type=int, default=2,
                     help="max IPC-rank move between rungs that still "
                          "counts as rank-stable (default 2)")
-    ap.add_argument("--evolve", action="store_true",
-                    help="evolutionary mode: grow a seeded population "
-                         "by mutating the frontier neighborhood "
-                         "through the scheme grammar instead of "
-                         "screening the whole space")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="random seed for --evolve (default 0)")
-    ap.add_argument("--population", type=int, default=24,
-                    help="--evolve population size (default 24)")
-    ap.add_argument("--generations", type=int, default=3,
-                    help="--evolve discovery generations (default 3)")
     ap.add_argument("--budget-transistors", type=float, default=None,
                     help="recommend the best scheme within this "
                          "transistor budget")
@@ -404,8 +392,7 @@ def _cmd_search(argv) -> int:
         result, report = run_search(
             session, args.threads, workloads,
             rungs=rungs, budget=args.budget, eps=args.eps,
-            drift=args.drift, seed=args.seed, evolve=args.evolve,
-            population=args.population, generations=args.generations,
+            drift=args.drift,
             budget_transistors=args.budget_transistors,
             budget_gate_delays=args.budget_gate_delays,
             cost_params=CostParams.fit() if args.calibrated else None,

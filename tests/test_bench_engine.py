@@ -1,6 +1,7 @@
 """bench_engine report logic: geomeans, trajectory upserts, gates.
 
-Pure-logic tests over hand-built reports — no simulation runs.  The
+Pure-logic tests over hand-built reports and a faked simulator and
+clock — no simulation runs.  The
 bugs this file pins: ``_geomean`` used to return 0.0 for an empty cell
 list, which leaked into ``geomean_by_class`` as a phantom catastrophic
 regression; ``check_report`` must skip baseline classes the fresh run
@@ -13,8 +14,11 @@ from __future__ import annotations
 import importlib.util
 import math
 import pathlib
+import types
 
 import pytest
+
+from repro.sim import SimConfig
 
 _PATH = pathlib.Path(__file__).resolve().parent.parent \
     / "benchmarks" / "bench_engine.py"
@@ -131,6 +135,57 @@ class TestCheckReport:
     def test_parse_floor_rejects_malformed(self):
         with pytest.raises(ValueError):
             bench.parse_floor("jit:multithreaded")
+
+
+class TestMeasureCell:
+    """The gate's timing method, with the simulator and clock faked: a
+    fake run advances the fake clock by its engine's next duration."""
+
+    @staticmethod
+    def _fake(monkeypatch, durations, cycles):
+        clock = {"now": 0.0}
+        calls = []
+
+        def run_workload(programs, scheme, cfg):
+            calls.append(cfg.engine)
+            n = sum(e == cfg.engine for e in calls) - 1
+            clock["now"] += durations[cfg.engine][n]
+            return types.SimpleNamespace(
+                stats=types.SimpleNamespace(cycles=cycles[cfg.engine]))
+
+        monkeypatch.setattr(bench, "run_workload", run_workload)
+        monkeypatch.setattr(bench, "_programs", lambda cell, machine: [])
+        monkeypatch.setattr(bench, "time", types.SimpleNamespace(
+            perf_counter=lambda: clock["now"]))
+        return calls
+
+    def test_warm_up_untimed_engines_alternate_median_paired_ratio(
+            self, monkeypatch):
+        # per engine: the warm-up (a slow compile), one run that sizes
+        # the samples (>= MIN_SAMPLE_S, so one run per sample), then
+        # one run per repeat.  Paired ratios 2, 5, 3: the median is 3,
+        # unlike the ratio of medians (4) or of the best samples (2.5).
+        durations = {"reference": [100.0, 1.0, 10.0, 20.0, 30.0],
+                     "jit": [100.0, 1.0, 5.0, 4.0, 10.0]}
+        calls = self._fake(monkeypatch, durations,
+                           {"reference": 7, "jit": 7})
+        out = bench.measure_cell(
+            {"workload": "LLMH", "scheme": "2SC3",
+             "class": "multithreaded"},
+            SimConfig(), None, engines=("jit",), repeats=3)
+        assert calls == ["reference", "jit"] * 5
+        assert out["speedups"]["jit"] == 3.0
+        assert out["reference"]["seconds"] == 20.0
+        assert out["jit"]["seconds"] == 5.0
+        assert out["jit"]["cycles"] == 7
+
+    def test_cycle_disagreement_still_fails(self, monkeypatch):
+        self._fake(monkeypatch, {"reference": [1.0] * 9, "jit": [1.0] * 9},
+                   {"reference": 7, "jit": 8})
+        with pytest.raises(AssertionError, match="disagree"):
+            bench.measure_cell({"workload": "mcf", "scheme": "ST",
+                                "class": "single-thread"},
+                               SimConfig(), None, engines=("jit",))
 
 
 class TestTrajectory:

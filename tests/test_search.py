@@ -1,10 +1,15 @@
-"""Guided-search tests: fidelity rungs, the evaluation service, the
-grammar mutator, and run_search end to end (tiny scales)."""
+"""Guided-search tests: fidelity rungs, the evaluation service, and
+run_search end to end (tiny scales, plus the 8-thread frontier claim
+replayed from recorded cells)."""
 
 import dataclasses
+import importlib.util
+import json
+import pathlib
 
 import pytest
 
+from repro.arch import paper_machine
 from repro.eval import (
     DEFAULT_RUNGS,
     CampaignSpec,
@@ -12,14 +17,12 @@ from repro.eval import (
     FidelityRung,
     Session,
     default_config,
-    mutate_names,
     run_search,
     rung_configs,
     rungs_from_spec,
     sweep_experiment_id,
 )
-from repro.eval.sweep import SweepPlan
-from repro.merge import parse_scheme, semantic_key
+from repro.eval.sweep import SweepPlan, assemble_sweep
 from repro.sim import SimConfig
 
 TINY = SimConfig(instr_limit=600, timeslice=300, warmup_instrs=150)
@@ -117,35 +120,6 @@ class TestEvaluator:
         assert sweep.meta["frontier"]  # the sweep actually ran
 
 
-class TestMutator:
-    def test_known_neighborhood_of_3sss(self):
-        assert mutate_names("3SSS") == (
-            "2C3S", "2SC3", "3CSS", "3SCS", "3SSC")
-
-    def test_single_block_flips(self):
-        assert mutate_names("1S") == ("1C",)
-        assert mutate_names("1C") == ("1S",)
-
-    @pytest.mark.parametrize("seed", ["3SSS", "2SC", "C4", "2SS",
-                                      "3CCC", "2SC3"])
-    def test_ports_preserved_and_seed_excluded(self, seed):
-        n = parse_scheme(seed).n_ports
-        neighbors = mutate_names(seed)
-        assert neighbors  # every paper scheme has moves
-        for m in neighbors:
-            assert parse_scheme(m).n_ports == n, (seed, m)
-            assert m != seed
-            assert semantic_key(m) != semantic_key(seed), (seed, m)
-
-    def test_neighbors_are_deduplicated_and_sorted(self):
-        for seed in ("3SSS", "2SC", "C4"):
-            out = mutate_names(seed)
-            assert list(out) == sorted(set(out))
-
-    def test_unrecognized_name_has_no_moves(self):
-        assert mutate_names("ST", 1) == ()
-
-
 class TestRunSearch:
     def test_exhaustive_budget_is_bit_identical_to_sweep(self, machine=None):
         sweep = tiny_session().sweep(2, ["LLLL"])
@@ -171,8 +145,9 @@ class TestRunSearch:
 
     def test_validation(self):
         session = tiny_session()
-        with pytest.raises(ValueError, match="budget must be > 0"):
-            run_search(session, 2, ["LLLL"], budget=0.0)
+        for bad in (0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="budget must be > 0"):
+                run_search(session, 2, ["LLLL"], budget=bad)
         with pytest.raises(ValueError, match="full fidelity"):
             run_search(session, 2, ["LLLL"],
                        rungs=(FidelityRung.for_scale(0.05),))
@@ -198,36 +173,60 @@ class TestRunSearch:
         assert rep2.evaluated_full == rep1.evaluated_full
         assert rep2.spent == rep1.spent  # pricing is schedule-pure
 
-    def test_evolve_mode_discovers_through_the_grammar(self):
-        result, report = run_search(tiny_session(), 3, ["LLLL"],
-                                    budget=0.9, evolve=True, seed=1,
-                                    population=3, generations=2)
-        assert report.mode == "evolve"
-        assert any(e["round"].startswith("gen") for e in report.schedule)
-        assert result.meta["frontier"]
-
-    def test_evolve_final_generation_pool_is_fully_measured(self):
-        """Regression: at 4 threads the grammar is rich enough that the
-        last generation still finds fresh mutants — those must not join
-        the pool unmeasured (rung 0 reuses the evolve phase's low-rung
-        IPC and used to KeyError on them)."""
-        result, report = run_search(tiny_session(), 4, ["LLLL"],
-                                    budget=0.9, evolve=True,
-                                    population=4, generations=2)
-        gens = [e for e in report.schedule
-                if e["round"].startswith("gen")]
-        rung0 = next(e for e in report.schedule if e["round"] == "rung0")
-        # the reused rung-0 pool is exactly what the generations measured
-        assert rung0["candidates"] == sum(e["candidates"] for e in gens)
-        assert rung0["executed"] == 0
-        assert result.meta["frontier"]
-
     def test_session_search_verb_saves_artifact(self, tmp_path):
         session = tiny_session(store=str(tmp_path / "run"))
         result = session.search(2, ["LLLL"], save=True)
         loaded = session.store.load_artifact("search2")
         assert loaded is not None
         assert loaded.rows == result.rows
+
+
+_PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+#: every rung of all nine workloads' 8-thread sweep at scale 0.2, as the
+#: benchmark's search workload records them (reference engine)
+RECORDED_SEARCH8 = _PERFBENCH / "expected" / "search8-queue.json"
+#: the benchmark's own output checks (no simulator imports), so this
+#: test scores coverage exactly as the benchmark does
+_spec = importlib.util.spec_from_file_location("perfbench_checks",
+                                               _PERFBENCH / "checks.py")
+checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checks)
+
+
+class TestHalvingFrontierClaim:
+    """Halving at 30% of the exhaustive cost finds the whole 8-thread
+    frontier (within eps) — replayed from recorded cells, so nothing
+    simulates and the claim is pinned without the benchmark."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        with open(RECORDED_SEARCH8) as f:
+            return json.load(f)["cells"]
+
+    @pytest.mark.parametrize("triple", [
+        ("LLLL", "LLHH", "HHHH"),
+        ("LLLL", "LMMH", "MMHH"),
+        ("LLLL", "MMMM", "HHHH"),
+    ], ids="-".join)
+    def test_budget_0_3_covers_the_exhaustive_frontier(self, tmp_path,
+                                                       recorded, triple):
+        rungs = rungs_from_spec("0.05,0.25,1")
+        base = default_config(0.2)
+        session = Session(machine=paper_machine(), config=base,
+                          configs=rung_configs(base, rungs),
+                          store=str(tmp_path / "run"))
+        session.store.record_cells("sweep8", recorded)
+        result, report = run_search(session, 8, list(triple), rungs=rungs,
+                                    budget=0.3, eps=0.05)
+        session.close()
+        assert report.mode == "halving"
+        assert sum(e["executed"] for e in report.schedule) == 0
+        plan = SweepPlan.build(8, triple)
+        full = {c.key: recorded[c.key] for c in plan.cells()}
+        golden = assemble_sweep(plan, full, paper_machine())
+        assert checks.eps_coverage(golden.meta["frontier"],
+                            result.meta["frontier"], 0.05) == 1.0
+        assert report.spent / report.exhaustive_units <= 0.3
 
 
 class TestQueueSearch:
